@@ -13,9 +13,10 @@ same gate covers every benchmark that records one:
 Raw wall times are not comparable across differently-powered
 machines, so both runs carry a ``calibration_s`` figure (a fixed
 pure-Python workload timed in the same process) and the gate compares
-the *calibrated* ratio ``wall / calibration``.  When either file or
-either figure is missing the gate skips (exit 0) — a missing baseline
-is the bootstrap case, not a failure.
+the *calibrated* ratio ``wall / calibration``.  Every gated baseline
+is committed: when either file, or a requested key or its
+calibration figure in it, is missing, the gate fails (exit 1) instead
+of passing with nothing compared.
 
 Usage:
     python scripts/check_bench_regression.py \
@@ -56,11 +57,11 @@ def _gate_key(
     baseline = _load_metrics(baseline_path, wall_key)
     current = _load_metrics(current_path, wall_key)
     if baseline is None:
-        print(f"[{wall_key}] no usable baseline at {baseline_path}; skipping")
-        return True
+        print(f"FAIL: [{wall_key}] no usable baseline at {baseline_path}")
+        return False
     if current is None:
-        print(f"[{wall_key}] no usable current run at {current_path}; skipping")
-        return True
+        print(f"FAIL: [{wall_key}] no usable current run at {current_path}")
+        return False
 
     baseline_score = baseline[wall_key] / baseline[CALIBRATION_KEY]
     current_score = current[wall_key] / current[CALIBRATION_KEY]

@@ -25,10 +25,6 @@ from repro.observability.tracer import span as _obs_span
 
 T = TypeVar("T")
 
-#: All caches created by :func:`memoized_on_schema_version`, so tests
-#: (and long-running services) can drop every memo at once.
-_REGISTRY: list["OrderedDict"] = []
-
 DEFAULT_MAXSIZE = 64
 
 
@@ -45,7 +41,6 @@ def memoized_on_schema_version(
 
     def decorate(fn: Callable[..., T]) -> Callable[..., T]:
         cache: OrderedDict[tuple[str, int], T] = OrderedDict()
-        _REGISTRY.append(cache)
 
         @wraps(fn)
         def wrapper(schema) -> T:
@@ -77,9 +72,3 @@ def memoized_on_schema_version(
         return wrapper
 
     return decorate
-
-
-def clear_all_caches() -> None:
-    """Drop every version-stamped analysis memo."""
-    for cache in _REGISTRY:
-        cache.clear()

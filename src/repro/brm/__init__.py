@@ -33,7 +33,7 @@ from repro.brm.datatypes import (
 )
 from repro.brm.facts import FIRST, SECOND, FactType, Role, RoleId
 from repro.brm.objects import ObjectKind, ObjectType, lot, lot_nolot, nolot
-from repro.brm.population import ColumnarPopulation, Population, Violation
+from repro.brm.population import Population, Violation
 from repro.brm.reference import (
     LexicalLeaf,
     ReferenceComponent,
@@ -48,7 +48,6 @@ __all__ = [
     "FIRST",
     "SECOND",
     "BinarySchema",
-    "ColumnarPopulation",
     "Constraint",
     "ConstraintItem",
     "DataType",

@@ -34,7 +34,7 @@ from repro.brm.facts import FactType, Role, RoleId
 from repro.brm.objects import lot, lot_nolot, nolot
 from repro.brm.schema import BinarySchema
 from repro.brm.sublinks import SublinkRef, SublinkType
-from repro.errors import SchemaError
+from repro.errors import SchemaError, UnknownElementError
 
 RoleSpec = Union[RoleId, "tuple[str, str]", str]
 ItemSpec = Union[RoleSpec, SublinkRef]
@@ -308,14 +308,24 @@ class SchemaBuilder:
     # ------------------------------------------------------------------
 
     def _role(self, spec: RoleSpec) -> RoleId:
+        """The address of an existing role.
+
+        Every role argument of the builder resolves here, so a spec
+        naming no fact type or no role of it raises
+        :class:`UnknownElementError` before any lookup uses it.
+        """
         if isinstance(spec, RoleId):
-            return spec
-        if isinstance(spec, tuple) and len(spec) == 2:
-            return RoleId(spec[0], spec[1])
-        if isinstance(spec, str) and "." in spec:
+            role_id = spec
+        elif isinstance(spec, tuple) and len(spec) == 2:
+            role_id = RoleId(spec[0], spec[1])
+        elif isinstance(spec, str) and "." in spec:
             fact, _, role = spec.partition(".")
-            return RoleId(fact, role)
-        raise SchemaError(f"cannot interpret {spec!r} as a role")
+            role_id = RoleId(fact, role)
+        else:
+            raise SchemaError(f"cannot interpret {spec!r} as a role")
+        if role_id not in self.schema.fact_type(role_id.fact).role_ids:
+            raise UnknownElementError("role", str(role_id))
+        return role_id
 
     def _item(self, spec: ItemSpec) -> ConstraintItem:
         if isinstance(spec, SublinkRef):

@@ -210,10 +210,6 @@ class ReferenceResolver:
 
     # -- public API ----------------------------------------------------
 
-    def grounded_schemes(self, type_name: str) -> list[ReferenceScheme]:
-        """All grounded schemes of a type, cheapest first."""
-        return [e.scheme for e in self._expansions.get(type_name, [])]
-
     def is_referable(self, type_name: str) -> bool:
         """True when the type has at least one grounded scheme."""
         return type_name in self._chosen
@@ -276,11 +272,6 @@ class ReferenceResolver:
                         changed = True
             self._choose()
         self._check_preferences()
-
-    def _already_expanded(self, type_name: str, scheme: ReferenceScheme) -> bool:
-        return any(
-            e.scheme == scheme for e in self._expansions.get(type_name, [])
-        )
 
     def _try_expand(self, scheme: ReferenceScheme) -> _Expansion | None:
         if scheme.kind == "self":

@@ -42,7 +42,7 @@ from repro.brm.objects import ObjectKind
 from repro.brm.schema import BinarySchema
 from repro.brm.sublinks import SublinkRef
 from repro.dsl.lexer import Token, TokenKind, tokenize
-from repro.errors import DslSyntaxError
+from repro.errors import DslSyntaxError, SchemaError
 
 _CONSTRAINT_KINDS = {
     "unique",
@@ -132,7 +132,11 @@ class _Parser:
         }.get(keyword.text)
         if handler is None:
             raise self.fail(f"unknown statement {keyword.text!r}", keyword)
-        handler()
+        try:
+            handler()
+        except SchemaError as exc:
+            exc.at_line(keyword.line)
+            raise
         self.end_statement()
 
     def schema_statement(self) -> None:

@@ -152,7 +152,7 @@ class Database:
     ) -> dict[str, list[object]]:
         """The relation as parallel value columns (insertion order).
 
-        The bulk read path of the columnar backward map: one list per
+        The bulk read path of the backward state map: one list per
         attribute instead of one dict per row, so whole-relation
         consumers never materialize row dicts at all.
         """

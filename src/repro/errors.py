@@ -22,6 +22,16 @@ class SchemaError(RidlError):
     RIDL-G as the schema is constructed").
     """
 
+    #: The source line of the DSL statement whose construction step
+    #: failed, when the schema came from :func:`repro.dsl.parse`.
+    line: int | None = None
+
+    def at_line(self, line: int) -> "SchemaError":
+        """Locate the error at a source line (prefixes the message)."""
+        self.line = line
+        self.args = (f"line {line}: {self}",)
+        return self
+
 
 class DuplicateNameError(SchemaError):
     """A schema element with the same name already exists."""

@@ -105,20 +105,15 @@ class Backend:
         """
         return False
 
-    def rows(self, relation: str) -> list[dict]:
-        """All rows of a relation as attribute dicts."""
-        raise NotImplementedError
-
     def fetch_columns(
         self, relation: str, columns: tuple[str, ...]
     ) -> dict[str, list]:
         """Bulk-read a relation as parallel, row-aligned value columns.
 
-        The read side of the columnar round trip: one list per
-        requested column, in the backend's row order, without ever
-        materializing row dicts.  Backends that cannot provide it
-        raise ``NotImplementedError`` and the harness falls back to
-        the row-at-a-time reference round trip.
+        The read side of the round trip: one list per requested
+        column, in the backend's row order, without ever materializing
+        row dicts.  Every backend must implement it; the harness has
+        no other read-back path.
         """
         raise NotImplementedError
 
@@ -166,9 +161,6 @@ class MemoryBackend(Backend):
     def replace_rows(self, relation: str, rows: list[dict]) -> None:
         self.database.delete(relation)
         self.database.insert_many(relation, rows)
-
-    def rows(self, relation: str) -> list[dict]:
-        return self.database.rows(relation)
 
     def fetch_columns(
         self, relation: str, columns: tuple[str, ...]
@@ -273,13 +265,6 @@ class _SqlBackend(Backend):
         # without them (quadratic at harness scales).
         for statement in index_statements(self._schema):
             self._connection.execute(statement)
-
-    def rows(self, relation: str) -> list[dict]:
-        columns = self._schema.relation(relation).attribute_names
-        cursor = self._connection.execute(
-            f"SELECT {', '.join(columns)} FROM {relation}"
-        )
-        return [dict(zip(columns, values)) for values in cursor.fetchall()]
 
     def fetch_columns(
         self, relation: str, columns: tuple[str, ...]

@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from repro.brm.population import ColumnarPopulation
+from repro.brm.population import Population
 from repro.brm.schema import BinarySchema
 from repro.engine.database import Database
 from repro.executor.backends import (
@@ -561,13 +561,8 @@ class ValidationReport:
     check_s: float
     round_trip_s: float
     check_workers: int = 1
-    #: Which round-trip implementation ran: ``"columnar"`` (bulk
-    #: column reads + ``backward_columnar``) or ``"reference"`` (the
-    #: row-at-a-time oracle, for backends without ``fetch_columns``).
-    round_trip_impl: str = "columnar"
     #: How the backend served the bulk read: ``"arrow"`` (DuckDB with
-    #: pyarrow), ``"native"`` (direct column extraction), or
-    #: ``"fallback"`` (no bulk read path).
+    #: pyarrow) or ``"native"`` (direct column extraction).
     read_path: str = "native"
     #: Rules skipped under ``prune_implied`` (rule name -> the proof
     #: the implication engine produced).  Empty when pruning is off.
@@ -601,7 +596,6 @@ class ValidationReport:
             "round_trip": {
                 "ok": self.round_trip_ok,
                 "diff": self.round_trip_diff,
-                "impl": self.round_trip_impl,
                 "read_path": self.read_path,
             },
             "matrix": None if self.matrix is None else self.matrix.as_dict(),
@@ -656,7 +650,7 @@ class ValidationReport:
                 if self.round_trip_ok
                 else f"DIFF {self.round_trip_diff}"
             )
-            + f" ({self.round_trip_impl} map, {self.read_path} read)"
+            + f" ({self.read_path} read)"
         )
         if self.matrix is not None:
             lines.append(
@@ -715,11 +709,12 @@ def run_validation(
         rules = compile_rules(
             result.relational, prune_implied=prune_implied, mapping=result
         )
-        population = generate_bulk_population(
-            schema, target_rows=scale, seed=seed
-        )
+        # The generated population is only the canonical state's
+        # source: no name keeps it alive past canonicalization.
         canonical = result.canonicalize(
-            result.state.to_canonical(population), columnar=True
+            result.state.to_canonical(
+                generate_bulk_population(schema, target_rows=scale, seed=seed)
+            )
         )
         database = result.state_map.forward(canonical)
         dataset = dataset_of(database)
@@ -740,8 +735,8 @@ def run_validation(
 
             started = perf_counter()
             with _obs_span("executor.roundtrip", backend=runner.name):
-                round_trip_ok, diff, round_trip_impl, read_path = (
-                    _round_trip(runner, result, database, canonical)
+                round_trip_ok, diff, read_path = _round_trip(
+                    runner, result, database, canonical
                 )
             round_trip_s = perf_counter() - started
 
@@ -788,42 +783,35 @@ def run_validation(
             check_s=check_s,
             round_trip_s=round_trip_s,
             check_workers=workers_used,
-            round_trip_impl=round_trip_impl,
             read_path=read_path,
             pruned_rules=pruned,
         )
 
 
 def _round_trip(
-    backend: Backend, result, database: Database, canonical
-) -> tuple[bool, dict[str, int], str, str]:
+    backend: Backend, result, database: Database, canonical: Population
+) -> tuple[bool, dict[str, int], str]:
     """Query the loaded state back and diff it against the original.
 
-    Columnar by default: every relation is bulk-read once as value
-    columns (:meth:`Backend.fetch_columns`), row-diffed as tuple sets
-    against the in-memory original, and — on an empty row diff —
-    mapped backwards with ``backward_columnar`` and compared to the
-    canonical population by columnar set algebra (``state_diff``).
-    Backends without a bulk read path fall back to the row-dict
-    reference implementation (``backward()`` + population equality).
+    Every relation is bulk-read once as value columns
+    (:meth:`Backend.fetch_columns`) and row-diffed as tuple sets
+    against the in-memory original; on an empty row diff the same
+    columns are mapped backwards and compared to the canonical
+    population by columnar set algebra (``state_diff``).
 
     The diff counts, per relation, the rows that changed across the
     backend boundary (symmetric difference of tuple sets); population
     differences are reported per type/fact under
-    ``<population:...>`` keys.  Returns
-    ``(ok, diff, implementation, read_path)``.
+    ``<population:...>`` keys.  Returns ``(ok, diff, read_path)``.
     """
     schema = database.schema
-    fetched: dict[str, dict[str, list]] = {}
-    try:
-        for relation in schema.relations:
-            fetched[relation.name] = backend.fetch_columns(
-                relation.name, relation.attribute_names
-            )
-    except NotImplementedError:
-        ok, diff = _round_trip_reference(backend, result, database, canonical)
-        return ok, diff, "reference", "fallback"
-    read_path = getattr(backend, "read_path", None) or "native"
+    fetched = {
+        relation.name: backend.fetch_columns(
+            relation.name, relation.attribute_names
+        )
+        for relation in schema.relations
+    }
+    read_path = backend.read_path or "native"
     diff: dict[str, int] = {}
     for relation in schema.relations:
         names = relation.attribute_names
@@ -847,13 +835,8 @@ def _round_trip(
         if delta:
             diff[relation.name] = delta
     if diff:
-        return False, diff, "columnar", read_path
-    reconstructed = result.state_map.backward_columnar(
-        fetched,
-        intern_like=(
-            canonical if isinstance(canonical, ColumnarPopulation) else None
-        ),
-    )
+        return False, diff, read_path
+    reconstructed = result.state_map.backward(fetched, intern_like=canonical)
     population_diff = reconstructed.state_diff(canonical)
     if population_diff:
         return (
@@ -862,28 +845,6 @@ def _round_trip(
                 f"<population:{name}>": count
                 for name, count in sorted(population_diff.items())
             },
-            "columnar",
             read_path,
         )
-    return True, {}, "columnar", read_path
-
-
-def _round_trip_reference(
-    backend: Backend, result, database: Database, canonical
-) -> tuple[bool, dict[str, int]]:
-    """The row-at-a-time oracle round trip (no bulk read path)."""
-    diff: dict[str, int] = {}
-    rebuilt = Database(database.schema)
-    for relation in database.schema.relations:
-        rebuilt.insert_many(relation.name, backend.rows(relation.name))
-    original = database.as_dict()
-    readback = rebuilt.as_dict()
-    for name, rows in original.items():
-        delta = len(rows ^ readback[name])
-        if delta:
-            diff[name] = delta
-    if diff:
-        return False, diff
-    if result.state_map.backward(rebuilt) != canonical:
-        return False, {"<population>": 1}
-    return True, {}
+    return True, {}, read_path

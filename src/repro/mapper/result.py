@@ -57,17 +57,11 @@ class MappingResult:
         canonical = self.state_map.backward(database)
         return self.state.from_canonical(canonical)
 
-    def canonicalize(
-        self, population: Population, *, columnar: bool = False
-    ) -> Population:
+    def canonicalize(self, population: Population) -> Population:
         """Rename a canonical-schema population's abstract instances to
         their lexical reference values (the identities
-        :meth:`backward` reconstructs).  ``columnar=True`` builds the
-        result as a ``ColumnarPopulation`` for whole-population
-        consumers."""
-        return canonicalize_population(
-            self.plan, population, columnar=columnar
-        )
+        :meth:`backward` reconstructs)."""
+        return canonicalize_population(self.plan, population)
 
     # ------------------------------------------------------------------
     # Output generation

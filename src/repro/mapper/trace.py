@@ -105,19 +105,3 @@ class Provenance:
         """All BRM concept descriptions the forwards map covers."""
         return frozenset(concept for concept, _ in self.forward)
 
-    def backward_names(self) -> dict[str, frozenset[str]]:
-        """Relational names each backwards-map section mentions.
-
-        Keys ``tables``/``columns``/``constraints``/``domains``; used
-        by the cross-artifact lint pass to verify that every recorded
-        reference resolves against the generated schema.
-        """
-        return {
-            "tables": frozenset(self.tables),
-            "columns": frozenset(
-                f"{relation}.{column}"
-                for relation, column in self.columns
-            ),
-            "constraints": frozenset(self.constraints),
-            "domains": frozenset(self.domains),
-        }

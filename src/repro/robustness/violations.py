@@ -82,11 +82,6 @@ class Injection:
     touched: frozenset[str] = frozenset()
 
 
-def copy_dataset(dataset: Dataset) -> Dataset:
-    """An independent row-level copy."""
-    return {name: [dict(row) for row in rows] for name, rows in dataset.items()}
-
-
 class _CowDataset(dict):
     """A copy-on-write dataset copy.
 

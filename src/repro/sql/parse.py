@@ -373,15 +373,16 @@ def parse_ddl(text: str, dialect: str | DialectProfile = "sql2") -> ParseResult:
     pending.name = _parse_title(title_part, profile)
     for lines, start in rest:
         first = lines[0]
+        second = lines[1] if len(lines) > 1 else ""
         if first.startswith("CREATE DOMAIN "):
             _parse_domains(lines, start, pending)
-        elif first == _BANNER and lines[1].startswith("-- TABLE "):
+        elif first == _BANNER and second.startswith("-- TABLE "):
             _parse_table(lines, start, profile, pending)
-        elif first == _BANNER and lines[1].startswith(
+        elif first == _BANNER and second.startswith(
             "--            View Constraints For Table "
         ):
             _parse_trailer(lines, start, pending)
-        elif first == _BANNER and lines[1].startswith(
+        elif first == _BANNER and second.startswith(
             "--            Constraints Without Relational Counterpart"
         ):
             _parse_pseudo(lines, pending)
@@ -456,6 +457,11 @@ def _parse_table(
     pending: _PendingSchema,
 ) -> None:
     relation_name = lines[1][len("-- TABLE ") :]
+    if len(lines) < 4:
+        raise DdlParseError(
+            f"table {relation_name!r} ends before its CREATE TABLE line",
+            start,
+        )
     if lines[3] != f"CREATE TABLE {relation_name}":
         raise DdlParseError(
             f"banner/CREATE TABLE mismatch for {relation_name!r}", start + 3

@@ -1,13 +1,13 @@
-"""Columnar population vs. the row-oriented oracle.
+"""The columnar population vs. the row-oriented oracle.
 
-``ColumnarPopulation`` is the interned, per-fact-type columnar layout
-the batch state-map kernels run on; ``Population`` is the retained
-value-oriented reference.  Mirroring the ``LinearScanOracle`` pattern
-from ``test_indexes.py``, every observable query — validity (exact
-violation messages), ``facts_of``, role/item populations, equality —
-is replayed through both representations after hypothesis-driven
-construction and randomized mutation sequences, and the lossless
-conversions ``from_population``/``to_population`` must round-trip.
+``Population`` is the interned, per-fact-type columnar layout the
+batch state-map kernels run on; ``RowPopulation`` (``tests/row_oracle``)
+is the value-oriented reference.  Mirroring the ``LinearScanOracle``
+pattern from ``test_indexes.py``, every observable query — validity
+(exact violation messages), ``facts_of``, role/item populations,
+equality — is replayed through both representations after
+hypothesis-driven construction and randomized mutation sequences, and
+the lossless conversions ``row_of``/``population_of`` must round-trip.
 """
 
 import random
@@ -15,11 +15,17 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.brm import ColumnarPopulation, Population, RoleId
+from repro.brm import Population, RoleId
 from repro.cris import figure6_population, figure6_schema
 from repro.mapper import MappingOptions, NullPolicy, SublinkPolicy, map_schema
 from repro.workloads import generate_population, generate_schema
 
+from tests.row_oracle import (
+    RowPopulation,
+    population_of,
+    row_backward,
+    row_of,
+)
 from tests.strategies import (
     DEFAULT_SHAPE,
     FULL_SHAPE,
@@ -29,7 +35,7 @@ from tests.strategies import (
 
 
 def assert_columnar_equals_oracle(
-    population: Population, columnar: ColumnarPopulation
+    population: RowPopulation, columnar: Population
 ) -> None:
     """Every observable query agrees between both representations."""
     schema = population.schema
@@ -61,18 +67,18 @@ def assert_columnar_equals_oracle(
     assert columnar.as_dict() == population.as_dict()
     assert columnar == population
     # Lossless conversion both ways.
-    assert columnar.to_population() == population
-    assert ColumnarPopulation.from_population(population) == columnar
+    assert row_of(columnar) == population
+    assert population_of(population) == columnar
 
 
-def _sync_pair(schema, seed: int) -> tuple[Population, ColumnarPopulation]:
-    population = generate_population(schema, instances_per_type=4, seed=seed)
-    return population, ColumnarPopulation.from_population(population)
+def _sync_pair(schema, seed: int) -> tuple[RowPopulation, Population]:
+    columnar = generate_population(schema, instances_per_type=4, seed=seed)
+    return row_of(columnar), columnar
 
 
 def _random_mutation(
-    population: Population,
-    columnar: ColumnarPopulation,
+    population: RowPopulation,
+    columnar: Population,
     rng: random.Random,
     step: int,
 ) -> None:
@@ -121,10 +127,8 @@ def _random_mutation(
 class TestOracleEquivalence:
     def test_figure6_population(self):
         schema = figure6_schema()
-        population = figure6_population(schema)
-        assert_columnar_equals_oracle(
-            population, ColumnarPopulation.from_population(population)
-        )
+        columnar = figure6_population(schema)
+        assert_columnar_equals_oracle(row_of(columnar), columnar)
 
     @settings(
         max_examples=12,
@@ -159,17 +163,15 @@ class TestOracleEquivalence:
     def test_round_trip_is_lossless(self, seed):
         schema = generate_schema(PLAIN_SHAPE, seed=seed)
         population, columnar = _sync_pair(schema, seed)
-        rebuilt = columnar.to_population()
+        rebuilt = row_of(columnar)
         assert rebuilt == population
         assert rebuilt.as_dict() == population.as_dict()
         # And back again.
-        assert ColumnarPopulation.from_population(rebuilt) == columnar
+        assert population_of(rebuilt) == columnar
 
     def test_copy_is_independent(self):
         schema = figure6_schema()
-        columnar = ColumnarPopulation.from_population(
-            figure6_population(schema)
-        )
+        columnar = figure6_population(schema)
         twin = columnar.copy()
         assert twin == columnar
         twin.add_instance("Paper", "ghost_paper")
@@ -177,7 +179,8 @@ class TestOracleEquivalence:
 
 
 class TestStateMapEquivalence:
-    """The batch kernels accept either representation and agree."""
+    """The batch kernels are independent of the intern layout and agree
+    with the row-at-a-time backward oracle."""
 
     POLICIES = st.tuples(
         st.sampled_from(
@@ -214,21 +217,25 @@ class TestStateMapEquivalence:
             ),
         )
         canonical = result.canonicalize(result.state.to_canonical(population))
-        columnar = ColumnarPopulation.from_population(canonical)
+        # The same state re-interned through the row oracle: ids differ,
+        # values do not.
+        columnar = population_of(row_of(canonical))
         from_rows = result.state_map.forward(canonical)
         from_columns = result.state_map.forward(columnar)
         assert from_rows == from_columns
-        # State equivalence holds for the reconstruction against both.
+        # State equivalence holds for the reconstruction against both,
+        # and the row-at-a-time backward map agrees.
         reconstructed = result.state_map.backward(from_columns)
         assert reconstructed == canonical
         assert columnar == reconstructed
+        assert row_backward(result.state_map, from_columns) == reconstructed
 
 
 class TestIdLevelPrimitives:
     """The bulk id-level construction API the backward map runs on."""
 
     def _columnar(self):
-        return ColumnarPopulation(figure6_schema())
+        return Population(figure6_schema())
 
     def test_intern_all_is_per_value_intern(self):
         columnar = self._columnar()
@@ -247,8 +254,8 @@ class TestIdLevelPrimitives:
 
     def test_add_pair_ids_matches_add_facts(self):
         schema = figure6_schema()
-        by_values = ColumnarPopulation(schema)
-        by_ids = ColumnarPopulation(schema)
+        by_values = Population(schema)
+        by_ids = Population(schema)
         pairs = [("p_1", "alice"), ("p_2", "bob"), ("p_3", "alice")]
         by_values.add_facts("presents", pairs)
         by_ids.add_pair_ids(
@@ -263,8 +270,8 @@ class TestIdLevelPrimitives:
 
     def test_add_fact_id_columns_matches_add_facts(self):
         schema = figure6_schema()
-        by_values = ColumnarPopulation(schema)
-        by_columns = ColumnarPopulation(schema)
+        by_values = Population(schema)
+        by_columns = Population(schema)
         pairs = [("p_1", "alice"), ("p_2", "bob")]
         by_values.add_facts("presents", pairs)
         by_columns.add_fact_id_columns(
@@ -285,9 +292,9 @@ class TestStateDiff:
     def test_empty_iff_equal(self):
         schema = figure6_schema()
         population = figure6_population(schema)
-        columnar = ColumnarPopulation.from_population(population)
+        columnar = population_of(row_of(population))
         # Different intern orders, same state.
-        twin = ColumnarPopulation(schema)
+        twin = Population(schema)
         for fact in reversed(schema.fact_types):
             twin.add_facts(
                 fact.name, sorted(population.fact_instances(fact.name))
@@ -302,8 +309,8 @@ class TestStateDiff:
 
     def test_counts_symmetric_differences(self):
         schema = figure6_schema()
-        left = ColumnarPopulation(schema)
-        right = ColumnarPopulation(schema)
+        left = Population(schema)
+        right = Population(schema)
         left.add_instances("Person", ["alice", "bob"])
         right.add_instances("Person", ["alice", "carol"])
         right.add_fact("presents", "p_9", "carol")
@@ -316,8 +323,8 @@ class TestStateDiff:
         # The negative-sentinel path: a value the other side has never
         # seen must count as a difference even when id numbers collide.
         schema = figure6_schema()
-        left = ColumnarPopulation(schema)
-        right = ColumnarPopulation(schema)
+        left = Population(schema)
+        right = Population(schema)
         left.add_instance("Person", "only_left")
         right.add_instance("Person", "only_right")
         assert left.state_diff(right) == {"Person": 2}

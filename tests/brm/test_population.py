@@ -183,7 +183,8 @@ class TestSetAlgebraicChecking:
         b.subtype("B", "A")
         schema = b.build()
         pop = Population(schema)
-        pop._objects["B"].add("x")  # bypass propagation deliberately
+        # Bypass propagation deliberately, at the id level.
+        pop._objects["B"].add(pop.intern("x"))
         assert any(v.rule == "conformance" for v in pop.check())
 
 

@@ -6,7 +6,7 @@ from repro.brm import RoleId, SublinkRef, char
 from repro.cris import cris_schema, figure6_schema
 from repro.dsl import parse, to_dsl, tokenize
 from repro.dsl.lexer import TokenKind
-from repro.errors import DslSyntaxError
+from repro.errors import DslSyntaxError, UnknownElementError
 
 
 class TestLexer:
@@ -154,6 +154,27 @@ class TestParser:
     def test_trailing_junk_rejected(self):
         with pytest.raises(DslSyntaxError):
             parse("nolot A B\n")
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            "total f.bogus",
+            "unique f.bogus",
+            "frequency f.bogus 1 .. 2",
+            "subset f.bogus in f.a",
+            "exclusion : f.bogus, f.a",
+        ],
+    )
+    def test_unknown_role_is_a_located_unknown_element(self, constraint):
+        source = (
+            "schema S\nnolot A\nlot N : char(5)\nfact f ( A a, N b )\n"
+            f"constraint {constraint}\n"
+        )
+        with pytest.raises(UnknownElementError) as excinfo:
+            parse(source)
+        assert excinfo.value.kind == "role"
+        assert excinfo.value.line == 5
+        assert str(excinfo.value).startswith("line 5: ")
 
 
 class TestRoundTrip:

@@ -171,10 +171,8 @@ class TestColumnarRoundTrip:
     """The columnar read-back path at 1e4 rows, on every backend.
 
     The round trip must be *exact* (empty diff at both the row and
-    the population level), the report must record which backward-map
-    implementation and bulk read path actually ran, and a backend
-    without bulk reads must degrade to the row-dict reference oracle
-    rather than fail.
+    the population level), the report must record which bulk read
+    path actually ran, and every backend must provide that bulk read.
     """
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
@@ -186,7 +184,6 @@ class TestColumnarRoundTrip:
         assert report.violations_on_valid == ()
         assert report.round_trip_ok
         assert report.round_trip_diff == {}
-        assert report.round_trip_impl == "columnar"
         assert report.read_path == "native"
 
     @requires_duckdb
@@ -197,9 +194,8 @@ class TestColumnarRoundTrip:
         assert report.backend_used == "duckdb"
         assert report.round_trip_ok
         assert report.round_trip_diff == {}
-        assert report.round_trip_impl == "columnar"
         # Arrow when pyarrow is importable, native column extraction
-        # otherwise — never the reference fallback.
+        # otherwise.
         assert report.read_path in ("arrow", "native")
 
     def test_report_records_round_trip_provenance(self, fig6):
@@ -207,22 +203,22 @@ class TestColumnarRoundTrip:
             fig6, backend="memory", scale=100, seed=7, inject=False
         )
         decoded = json.loads(report.to_json())
-        assert decoded["round_trip"]["impl"] == "columnar"
-        assert decoded["round_trip"]["read_path"] == "native"
-        assert "(columnar map, native read)" in report.render()
+        assert decoded["round_trip"] == {
+            "ok": True, "diff": {}, "read_path": "native",
+        }
+        assert "(native read)" in report.render()
 
-    def test_backend_without_bulk_reads_uses_the_reference_map(self, fig6):
-        from repro.executor import MemoryBackend, ResolvedBackend
+    def test_every_backend_implements_fetch_columns(self):
+        from repro.executor.backends import Backend
 
-        class NoBulkRead(MemoryBackend):
-            def fetch_columns(self, relation, columns):
-                raise NotImplementedError
+        def concrete(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from concrete(sub)
 
-        report = run_validation(
-            fig6, backend="memory", scale=200, seed=7, inject=False,
-            resolved=ResolvedBackend(NoBulkRead(), "memory", "memory"),
-        )
-        assert report.ok, report.render()
-        assert report.round_trip_impl == "reference"
-        assert report.read_path == "fallback"
-        assert "(reference map, fallback read)" in report.render()
+        backends = [
+            cls for cls in concrete(Backend) if not cls.__name__.startswith("_")
+        ]
+        assert {cls.name for cls in backends} >= {"memory", "sqlite", "duckdb"}
+        for cls in backends:
+            assert cls.fetch_columns is not Backend.fetch_columns, cls

@@ -207,6 +207,21 @@ class TestCli:
         assert code == 2
         assert "error:" in output
 
+    def test_reverse_ddl_truncated_after_table_banner_exits_2(self, tmp_path):
+        ddl = map_schema(cris_schema(), MappingOptions()).sql("sql2")
+        lines = ddl.splitlines()
+        banner = next(
+            number
+            for number, line in enumerate(lines, start=1)
+            if line.startswith("-- TABLE ")
+        )
+        path = tmp_path / "truncated.sql"
+        path.write_text("\n".join(lines[:banner]) + "\n")
+        code, output = self.run("reverse", str(path))
+        assert code == 2
+        assert f"error: line {banner - 1}: table " in output
+        assert "Traceback" not in output
+
 
 class TestRoundTripFuzzer:
     """The standing CI leg: random schemas, random options, random

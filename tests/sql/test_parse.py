@@ -170,6 +170,20 @@ class TestErrors:
         with pytest.raises(DdlParseError):
             parse_ddl(broken, "sql2")
 
+    @pytest.mark.parametrize("kept", [1, 2, 3])
+    def test_truncated_table_block_reports_its_start(self, kept):
+        lines = emitted(cris_schema()).splitlines()
+        banner = next(
+            number
+            for number, line in enumerate(lines)
+            if line.startswith("-- TABLE ")
+        )
+        # The block starts at the rule line above the "-- TABLE" line.
+        truncated = "\n".join(lines[: banner - 1 + kept]) + "\n"
+        with pytest.raises(DdlParseError) as excinfo:
+            parse_ddl(truncated, "sql2")
+        assert excinfo.value.line == banner
+
     def test_unknown_dialect(self):
         with pytest.raises(Exception):
             resolve_profile("cobol")
