@@ -2,12 +2,14 @@
 
 The lint engine is built to ride on the version-stamped caches: its
 analysis pass reuses the memoized ``analyze`` result, its redundancy
-rules reuse ``indexes_for``/``subset_graph_for``, and with a
-precomputed :class:`MappingResult` the trace/sql/map passes are pure
-rule bodies.  The asserted bound: a **full** lint sweep (every rule,
-every artifact) over the 90-entity industrial schema stays under 10%
-of the guarded ``map_schema`` wall time on the same workload — lint
-is cheap enough to run after every mapping session.
+rules reuse ``indexes_for`` and the memoized implication verdicts
+(whose inclusion graph and emptiness closure ``analyze`` already
+built), and with a precomputed :class:`MappingResult` the
+trace/sql/map passes are pure rule bodies.  The asserted bound: a
+**full** lint sweep (every rule, every artifact) over the 90-entity
+industrial schema stays under 10% of the guarded ``map_schema`` wall
+time on the same workload — lint is cheap enough to run after every
+mapping session.
 """
 
 from time import perf_counter

@@ -6,70 +6,31 @@ in the binary schema on the populations of roles and object types"
 
 The notion checked is *strong satisfiability*: every object type must
 admit a non-empty population in some model of the schema.  The solver
-works on the population-inclusion preorder induced by the schema:
-
-* a role's population is included in its player's population;
-* a subtype's population is included in its supertype's;
-* a sublink's population equals its subtype's;
-* subset constraints give inclusions, equality constraints give
-  inclusions both ways;
-* a total role on T (single-item total union) makes pop(T) a subset
-  of the role's population.
-
-An exclusion constraint empties every *common lower bound* of two of
-its items — any population included in two disjoint populations must
-be empty.  Forced emptiness then propagates downward through the
-inclusion preorder, across a fact type (one empty role empties the
-other), and through total unions (a type whose covering items are all
-empty is empty).  A forced-empty object type is an inconsistency; a
-forced-empty role is reported as a warning (the constraint can never
-be exercised).
+is the implication engine's set-algebraic closure
+(:func:`repro.analyzer.implication.set_algebraic_closure`) over the
+population-inclusion preorder: an exclusion constraint empties every
+*common lower bound* of two of its items — any population included in
+two disjoint populations must be empty — and forced emptiness then
+propagates downward through the inclusion preorder, across a fact
+type (one empty role empties the other), and through total unions (a
+type whose covering items are all empty is empty).  This module
+projects that closure into RIDL-A's report: a forced-empty object type
+is an inconsistency; a forced-empty role or sublink is reported as a
+warning (the constraint can never be exercised).  Each reason is the
+closure's rendered proof chain.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from repro.analyzer.cache import memoized_on_schema_version
 from repro.analyzer.diagnostics import Diagnostic, Severity
-from repro.brm.constraints import (
-    ConstraintItem,
-    EqualityConstraint,
-    SubsetConstraint,
-    TotalUnionConstraint,
+from repro.analyzer.implication import (
+    Node,
+    _node_subject,
+    set_algebraic_closure,
 )
-from repro.brm.facts import RoleId
 from repro.brm.schema import BinarySchema
-
-# Node encodings: ("role", fact, role), ("type", name), ("sublink", name)
-Node = tuple
-
-
-def _role_node(role_id: RoleId) -> Node:
-    return ("role", role_id.fact, role_id.role)
-
-
-def _type_node(name: str) -> Node:
-    return ("type", name)
-
-
-def _sublink_node(name: str) -> Node:
-    return ("sublink", name)
-
-
-def _item_node(item: ConstraintItem) -> Node:
-    if isinstance(item, RoleId):
-        return _role_node(item)
-    return _sublink_node(item.sublink)
-
-
-def _render_node(node: Node) -> str:
-    if node[0] == "role":
-        return f"role {node[1]}.{node[2]}"
-    if node[0] == "sublink":
-        return f"sublink {node[1]}"
-    return f"object type {node[1]}"
 
 
 @dataclass
@@ -85,304 +46,27 @@ class ConsistencyResult:
         return not any(node[0] == "type" for node in self.forced_empty)
 
 
-class SubsetGraph:
-    """The population-inclusion preorder and emptiness implications.
-
-    After building the raw edge sets the graph is condensed into its
-    strongly-connected components (equality constraints and mutual
-    subsets collapse into one component) and per-component
-    reachability bitmasks are precomputed, so :meth:`reaches` is an
-    O(1) bit test and :meth:`lower_bounds` a cached mask expansion
-    instead of a BFS per call.  Instances are immutable once built,
-    which is what lets :func:`subset_graph_for` share them across
-    repeated analyses of the same schema version.
-    """
-
-    def __init__(self, schema: BinarySchema) -> None:
-        self.schema = schema
-        # subset[x] = set of y with pop(x) <= pop(y)
-        self.subset: dict[Node, set[Node]] = {}
-        # empties[y] = set of x with: empty(y) implies empty(x)
-        self.empties: dict[Node, set[Node]] = {}
-        self._build()
-        self._condense()
-
-    def _add_subset(self, sub: Node, sup: Node) -> None:
-        self.subset.setdefault(sub, set()).add(sup)
-        # Inclusion implies downward emptiness propagation.
-        self.empties.setdefault(sup, set()).add(sub)
-
-    def _add_empty_implication(self, cause: Node, effect: Node) -> None:
-        self.empties.setdefault(cause, set()).add(effect)
-
-    def _build(self) -> None:
-        schema = self.schema
-        for fact in schema.fact_types:
-            first, second = fact.role_ids
-            self._add_subset(_role_node(first), _type_node(fact.first.player))
-            self._add_subset(_role_node(second), _type_node(fact.second.player))
-            # A fact instance populates both roles: one empty role
-            # empties the whole fact type, hence the other role.
-            self._add_empty_implication(_role_node(first), _role_node(second))
-            self._add_empty_implication(_role_node(second), _role_node(first))
-        for sublink in schema.sublinks:
-            sub_type = _type_node(sublink.subtype)
-            super_type = _type_node(sublink.supertype)
-            link = _sublink_node(sublink.name)
-            self._add_subset(sub_type, super_type)
-            self._add_subset(link, sub_type)
-            self._add_subset(sub_type, link)
-        for constraint in schema.constraints:
-            if isinstance(constraint, SubsetConstraint):
-                self._add_subset(
-                    _item_node(constraint.subset), _item_node(constraint.superset)
-                )
-            elif isinstance(constraint, EqualityConstraint):
-                nodes = [_item_node(item) for item in constraint.items]
-                for left, right in itertools.combinations(nodes, 2):
-                    self._add_subset(left, right)
-                    self._add_subset(right, left)
-            elif isinstance(constraint, TotalUnionConstraint):
-                if len(constraint.items) == 1:
-                    self._add_subset(
-                        _type_node(constraint.object_type),
-                        _item_node(constraint.items[0]),
-                    )
-
-    def _condense(self) -> None:
-        """SCC-condense the subset edges and precompute reachability.
-
-        Tarjan's algorithm (iterative, the schemas are deep enough to
-        overflow Python's recursion limit) emits components in reverse
-        topological order of the condensation: when a component
-        completes, every component it can reach already has its mask,
-        so ``reach_mask[c]`` is its own bit OR-ed with the masks of
-        its successor components.  ``pred_mask`` is the transpose.
-        """
-        nodes: set[Node] = set(self.empties)
-        for sub, sups in self.subset.items():
-            nodes.add(sub)
-            nodes.update(sups)
-        for effects in self.empties.values():
-            nodes.update(effects)
-
-        index_of: dict[Node, int] = {}
-        lowlink: dict[Node, int] = {}
-        on_stack: set[Node] = set()
-        stack: list[Node] = []
-        comp_of: dict[Node, int] = {}
-        members: list[tuple[Node, ...]] = []
-        reach_mask: list[int] = []
-        counter = itertools.count()
-
-        for root in nodes:
-            if root in index_of:
-                continue
-            # Each frame is (node, iterator over its successors).
-            work = [(root, iter(self.subset.get(root, ())))]
-            index_of[root] = lowlink[root] = next(counter)
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for successor in successors:
-                    if successor not in index_of:
-                        index_of[successor] = lowlink[successor] = next(counter)
-                        stack.append(successor)
-                        on_stack.add(successor)
-                        work.append(
-                            (successor, iter(self.subset.get(successor, ())))
-                        )
-                        advanced = True
-                        break
-                    if successor in on_stack:
-                        lowlink[node] = min(lowlink[node], index_of[successor])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index_of[node]:
-                    comp = len(members)
-                    component: list[Node] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        comp_of[member] = comp
-                        component.append(member)
-                        if member == node:
-                            break
-                    mask = 1 << comp
-                    for member in component:
-                        for successor in self.subset.get(member, ()):
-                            succ_comp = comp_of.get(successor)
-                            if succ_comp is not None and succ_comp != comp:
-                                mask |= reach_mask[succ_comp]
-                    members.append(tuple(component))
-                    reach_mask.append(mask)
-
-        pred_mask = [1 << comp for comp in range(len(members))]
-        for comp, mask in enumerate(reach_mask):
-            bit = 1 << comp
-            target = mask & ~bit
-            while target:
-                low = target & -target
-                pred_mask[low.bit_length() - 1] |= bit
-                target ^= low
-
-        self._comp_of = comp_of
-        self._members = members
-        self._reach_mask = reach_mask
-        self._pred_mask = pred_mask
-        self._lower_bound_cache: dict[int, frozenset[Node]] = {}
-
-    def reaches(self, start: Node, goal: Node) -> bool:
-        """True when pop(start) <= pop(goal) follows from the schema."""
-        if start == goal:
-            return True
-        start_comp = self._comp_of.get(start)
-        goal_comp = self._comp_of.get(goal)
-        if start_comp is None or goal_comp is None:
-            return False
-        return bool(self._reach_mask[start_comp] >> goal_comp & 1)
-
-    def lower_bounds(self, node: Node) -> frozenset[Node]:
-        """All nodes whose population is included in ``node``'s."""
-        comp = self._comp_of.get(node)
-        if comp is None:
-            return frozenset((node,))
-        cached = self._lower_bound_cache.get(comp)
-        if cached is None:
-            bounds: set[Node] = set()
-            mask = self._pred_mask[comp]
-            while mask:
-                low = mask & -mask
-                bounds.update(self._members[low.bit_length() - 1])
-                mask ^= low
-            cached = frozenset(bounds)
-            self._lower_bound_cache[comp] = cached
-        return cached
-
-    def has_intermediate(self, start: Node, goal: Node) -> bool:
-        """True when some third node ``n`` satisfies
-        pop(start) <= pop(n) <= pop(goal).
-
-        O(1) on the condensation bitmasks: an intermediate exists
-        when the components reachable from ``start`` and reaching
-        ``goal`` overlap beyond the two endpoint nodes themselves.
-        """
-        start_comp = self._comp_of.get(start)
-        goal_comp = self._comp_of.get(goal)
-        if start_comp is None or goal_comp is None:
-            return False
-        middle = self._reach_mask[start_comp] & self._pred_mask[goal_comp]
-        if middle & ~((1 << start_comp) | (1 << goal_comp)):
-            return True
-        if start_comp == goal_comp:
-            # A shared cycle: any third member is an intermediate.
-            size = len(self._members[start_comp])
-            return size > 2 if start != goal else size > 1
-        # Endpoint components on the path count when they hold a
-        # second node besides the endpoint itself.
-        return bool(
-            middle >> start_comp & 1
-            and len(self._members[start_comp]) > 1
-            or middle >> goal_comp & 1
-            and len(self._members[goal_comp]) > 1
-        )
-
-
-# Backwards-compatible alias for the pre-condensation class name.
-_InclusionGraph = SubsetGraph
-
-
-@memoized_on_schema_version()
-def subset_graph_for(schema: BinarySchema) -> SubsetGraph:
-    """The (shared, read-only) subset graph for this schema version."""
-    return SubsetGraph(schema)
+#: node kind -> (severity, code, message prefix) of its diagnostic.
+_DIAGNOSTIC = {
+    "type": (Severity.ERROR, "FORCED_EMPTY_TYPE",
+             "no non-empty population possible"),
+    "role": (Severity.WARNING, "FORCED_EMPTY_ROLE",
+             "role can never be played"),
+    "sublink": (Severity.WARNING, "FORCED_EMPTY_SUBLINK",
+                "subtype can never have members"),
+}
 
 
 def check_consistency(schema: BinarySchema) -> ConsistencyResult:
-    """Run the emptiness-propagation solver over the schema."""
-    graph = subset_graph_for(schema)
-    forced_empty: dict[Node, str] = {}
-    worklist: list[Node] = []
-
-    def mark(node: Node, reason: str) -> None:
-        if node not in forced_empty:
-            forced_empty[node] = reason
-            worklist.append(node)
-
-    # Seed: exclusion constraints empty every common lower bound of
-    # any two of their items.
-    for constraint in schema.exclusions():
-        nodes = [_item_node(item) for item in constraint.items]
-        for left, right in itertools.combinations(nodes, 2):
-            common = graph.lower_bounds(left) & graph.lower_bounds(right)
-            for node in common:
-                mark(
-                    node,
-                    f"included in both sides of exclusion {constraint.name!r} "
-                    f"({_render_node(left)} vs {_render_node(right)})",
-                )
-
-    # Propagate to a fixed point.
-    totals = [c for c in schema.totals() if len(c.items) > 1]
-    while True:
-        while worklist:
-            node = worklist.pop()
-            for affected in graph.empties.get(node, ()):
-                mark(
-                    affected,
-                    f"population is forced empty because {_render_node(node)} "
-                    "is empty",
-                )
-        # Hyper-rule: a total union whose items are all empty empties
-        # the constrained object type.
-        progressed = False
-        for constraint in totals:
-            type_node = _type_node(constraint.object_type)
-            if type_node in forced_empty:
-                continue
-            if all(_item_node(item) in forced_empty for item in constraint.items):
-                mark(
-                    type_node,
-                    f"total union {constraint.name!r} covers only empty "
-                    "roles/subtypes",
-                )
-                progressed = True
-        if not worklist and not progressed:
-            break
-
+    """Project the set-algebraic emptiness closure into diagnostics."""
+    forced_empty = {
+        node: proof.render_inline()
+        for node, proof in set_algebraic_closure(schema).items()
+    }
     diagnostics = []
     for node, reason in sorted(forced_empty.items(), key=lambda kv: repr(kv[0])):
-        if node[0] == "type":
-            diagnostics.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "FORCED_EMPTY_TYPE",
-                    node[1],
-                    f"no non-empty population possible: {reason}",
-                )
-            )
-        elif node[0] == "role":
-            diagnostics.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "FORCED_EMPTY_ROLE",
-                    f"{node[1]}.{node[2]}",
-                    f"role can never be played: {reason}",
-                )
-            )
-        else:
-            diagnostics.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "FORCED_EMPTY_SUBLINK",
-                    node[1],
-                    f"subtype can never have members: {reason}",
-                )
-            )
+        severity, code, prefix = _DIAGNOSTIC[node[0]]
+        diagnostics.append(
+            Diagnostic(severity, code, _node_subject(node), f"{prefix}: {reason}")
+        )
     return ConsistencyResult(forced_empty=forced_empty, diagnostics=diagnostics)

@@ -78,31 +78,6 @@ class AnalysisReport:
         """True when RIDL-M may proceed (no errors)."""
         return not self.errors
 
-    def lint_diagnostics(self) -> list:
-        """The report's findings as lint diagnostics.
-
-        The compatibility shim onto :mod:`repro.lint`: each finding
-        is re-issued under its stable ``BRM0xx`` lint code (the
-        analyzer's symbolic codes remain this module's public API).
-        Imported lazily so the analyzer keeps no hard dependency on
-        the lint subsystem.
-        """
-        from repro.lint.diagnostics import LintDiagnostic
-        from repro.lint.rules_schema import LEGACY_CODES
-
-        ported = [
-            LintDiagnostic(
-                code=LEGACY_CODES[d.code],
-                severity=d.severity,
-                subject=d.subject,
-                message=d.message,
-            )
-            for d in self.diagnostics
-            if d.code in LEGACY_CODES
-        ]
-        ported.sort(key=LintDiagnostic.sort_key)
-        return ported
-
     def render(self) -> str:
         """A human-readable multi-section report."""
         lines = [f"RIDL-A analysis of schema {self.schema_name!r}"]

@@ -1,9 +1,16 @@
 """The constraint implication & satisfiability engine.
 
-RIDL-A's consistency function (:mod:`repro.analyzer.consistency`)
-decides *whether* the set-algebraic constraints force populations
-empty; this module decides *why*, and goes further: a saturation pass
-over the full constraint vocabulary produces typed verdicts
+This module owns the population-inclusion graph of a schema (one
+labeled graph per schema version, shared through a memo) and the one
+emptiness solver over it.  The solver runs in two steps:
+
+* :func:`set_algebraic_closure` — the exclusion-seeded closure that
+  RIDL-A's consistency function (:mod:`repro.analyzer.consistency`)
+  projects into its report: which roles, sublinks and object types
+  the set-algebraic constraints force empty, each with its proof;
+* :func:`check_implications` — a saturation pass that starts from
+  that closure, adds the frequency and value seeds, and proves typed
+  verdicts over the full constraint vocabulary:
 
 * ``IMPLIED`` — a declared constraint already follows from the rest
   of the schema (subset/equality paths through the population-
@@ -20,10 +27,11 @@ over the full constraint vocabulary produces typed verdicts
 Every verdict carries a :class:`~repro.analyzer.proofs.Proof`: the
 minimal chain of structural facts and implying constraints it follows
 from, reconstructable as an unsat-core-style witness.  Consumers:
-the ``IMP4xx`` lint family renders the chains, the executor prunes
-checker queries for proven-implied rules, the workload generators
-fail fast on contradictions, and the advisor reports implied counts
-per candidate design.
+RIDL-A's consistency diagnostics, the ``IMP4xx`` lint family and
+BRM017 render the chains, the executor prunes checker queries for
+proven-implied rules, the workload generators fail fast on
+contradictions, and the advisor reports implied counts per candidate
+design.
 """
 
 from __future__ import annotations
@@ -34,15 +42,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.analyzer.cache import memoized_on_schema_version
-from repro.analyzer.consistency import (
-    Node,
-    _item_node,
-    _render_node,
-    _role_node,
-    _type_node,
-)
 from repro.analyzer.proofs import Proof, ProofStep
 from repro.brm.constraints import (
+    ConstraintItem,
     EqualityConstraint,
     FrequencyConstraint,
     SubsetConstraint,
@@ -54,6 +56,35 @@ from repro.brm.facts import RoleId
 from repro.brm.schema import BinarySchema
 from repro.errors import PopulationError
 from repro.observability.tracer import span as _obs_span
+
+# Node encodings: ("role", fact, role), ("type", name), ("sublink", name)
+Node = tuple
+
+
+def _role_node(role_id: RoleId) -> Node:
+    return ("role", role_id.fact, role_id.role)
+
+
+def _type_node(name: str) -> Node:
+    return ("type", name)
+
+
+def _sublink_node(name: str) -> Node:
+    return ("sublink", name)
+
+
+def _item_node(item: ConstraintItem) -> Node:
+    if isinstance(item, RoleId):
+        return _role_node(item)
+    return _sublink_node(item.sublink)
+
+
+def _render_node(node: Node) -> str:
+    if node[0] == "role":
+        return f"role {node[1]}.{node[2]}"
+    if node[0] == "sublink":
+        return f"sublink {node[1]}"
+    return f"object type {node[1]}"
 
 
 class VerdictKind(Enum):
@@ -158,14 +189,23 @@ def _inc(sub: Node, sup: Node, why: str) -> str:
 
 
 class _LabeledGraph:
-    """The inclusion preorder with per-edge origins.
+    """The population-inclusion preorder with per-edge origins.
 
-    Unlike the condensed :class:`~repro.analyzer.consistency.\
-SubsetGraph` (bitmask reachability, no provenance), every edge here
-    remembers *which* constraint or structural fact justifies it, so
-    path searches reconstruct proof chains and can exclude one
-    constraint's own edges (the implication test: does the inclusion
-    still hold without the constraint under test?).
+    * a role's population is included in its player's population;
+    * a subtype's population is included in its supertype's;
+    * a sublink's population equals its subtype's;
+    * subset constraints give inclusions, equality constraints give
+      inclusions both ways;
+    * a total role on T (single-item total union) makes pop(T) a
+      subset of the role's population.
+
+    Every edge remembers *which* constraint or structural fact
+    justifies it, so path searches reconstruct proof chains and can
+    exclude one constraint's own edges (the implication test: does the
+    inclusion still hold without the constraint under test?).
+    Immutable once built apart from the lower-bound cache, which is
+    what lets :func:`labeled_graph_for` share one graph per schema
+    version.
     """
 
     def __init__(self, schema: BinarySchema) -> None:
@@ -173,6 +213,9 @@ SubsetGraph` (bitmask reachability, no provenance), every edge here
         self.edges: dict[Node, list[_Edge]] = {}
         # empties[y] = [(x, statement, premise)]: empty(y) empties x.
         self.empties: dict[Node, list[tuple[Node, str, str | None]]] = {}
+        # into[y] = [(x, edge)] for every edge x <= y (the reverse
+        # adjacency of the lower-bound search), built once.
+        self.into: dict[Node, list[tuple[Node, _Edge]]] = {}
         self._lower_cache: dict[Node, dict[Node, tuple[ProofStep, ...]]] = {}
         self._build()
 
@@ -212,7 +255,7 @@ SubsetGraph` (bitmask reachability, no provenance), every edge here
         for sublink in schema.sublinks:
             sub_type = _type_node(sublink.subtype)
             super_type = _type_node(sublink.supertype)
-            link = ("sublink", sublink.name)
+            link = _sublink_node(sublink.name)
             self._add_edge(
                 sub_type, super_type,
                 _inc(sub_type, super_type,
@@ -251,6 +294,9 @@ SubsetGraph` (bitmask reachability, no provenance), every edge here
                              "total role: every instance participates"),
                         constraint.name,
                     )
+        for source, edges in self.edges.items():
+            for edge in edges:
+                self.into.setdefault(edge.target, []).append((source, edge))
 
     def find_path(
         self, start: Node, goal: Node, *, exclude: str | None = None
@@ -299,21 +345,26 @@ SubsetGraph` (bitmask reachability, no provenance), every edge here
         cached = self._lower_cache.get(node)
         if cached is not None:
             return cached
-        into: dict[Node, list[tuple[Node, _Edge]]] = {}
-        for source, edges in self.edges.items():
-            for edge in edges:
-                into.setdefault(edge.target, []).append((source, edge))
         paths: dict[Node, tuple[ProofStep, ...]] = {node: ()}
         queue: deque[Node] = deque((node,))
         while queue:
             current = queue.popleft()
-            for source, edge in into.get(current, ()):
+            for source, edge in self.into.get(current, ()):
                 if source in paths:
                     continue
                 paths[source] = (edge.step(),) + paths[current]
                 queue.append(source)
         self._lower_cache[node] = paths
         return paths
+
+
+# A short memo: a graph is shared while one schema version is analyzed,
+# saturated and linted, then dropped.  Keeping 64 of them (the default)
+# doubles the live heap of an advisor run, one graph per candidate.
+@memoized_on_schema_version(maxsize=4)
+def labeled_graph_for(schema: BinarySchema) -> _LabeledGraph:
+    """The (shared, read-only) inclusion graph for this schema version."""
+    return _LabeledGraph(schema)
 
 
 def _dedupe(steps) -> tuple[ProofStep, ...]:
@@ -360,6 +411,24 @@ def _interval_text(constraint: FrequencyConstraint) -> str:
 
 
 @memoized_on_schema_version()
+def set_algebraic_closure(schema: BinarySchema) -> dict[Node, Proof]:
+    """Every node the set-algebraic constraints force empty, with proof.
+
+    Exclusion constraints seed the emptiness of every common lower
+    bound of two of their items; the seeds then propagate down the
+    inclusion preorder, across fact types and through total unions.
+    Memoized on the schema version stamp and shared: treat the mapping
+    as read-only.
+    """
+    graph = labeled_graph_for(schema)
+    empty: dict[Node, Proof] = {}
+    worklist: list[Node] = []
+    _exclusion_seeds(schema, graph, _seeder(empty, worklist))
+    _propagate_emptiness(schema, graph, empty, worklist)
+    return empty
+
+
+@memoized_on_schema_version()
 def check_implications(schema: BinarySchema) -> ImplicationResult:
     """Prove implication, contradiction and forced-emptiness verdicts.
 
@@ -371,8 +440,19 @@ def check_implications(schema: BinarySchema) -> ImplicationResult:
         return _saturate(schema)
 
 
+def _seeder(empty: dict[Node, Proof], worklist: list[Node]):
+    """A ``seed(node, proof)`` that keeps the first proof per node."""
+
+    def seed(node: Node, proof: Proof) -> None:
+        if node not in empty:
+            empty[node] = proof
+            worklist.append(node)
+
+    return seed
+
+
 def _saturate(schema: BinarySchema) -> ImplicationResult:
-    graph = _LabeledGraph(schema)
+    graph = labeled_graph_for(schema)
     verdicts: list[Verdict] = []
 
     freq_by_role: dict[RoleId, list[FrequencyConstraint]] = {}
@@ -395,19 +475,15 @@ def _saturate(schema: BinarySchema) -> ImplicationResult:
         )
     )
 
-    empty: dict[Node, Proof] = {}
+    # Start from the set-algebraic closure, then add the frequency and
+    # value seeds and close again.
+    empty = dict(set_algebraic_closure(schema))
     worklist: list[Node] = []
-
-    def seed(node: Node, proof: Proof) -> None:
-        if node not in empty:
-            empty[node] = proof
-            worklist.append(node)
-
+    seed = _seeder(empty, worklist)
     verdicts.extend(
         _frequency_conflicts(freq_by_role, unique_by_role, seed)
     )
     verdicts.extend(_value_conflicts(values_by_type, seed))
-    _exclusion_seeds(schema, graph, seed)
     _propagate_emptiness(schema, graph, empty, worklist)
 
     for node, proof in sorted(empty.items(), key=lambda kv: repr(kv[0])):

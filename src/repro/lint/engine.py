@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.analyzer import analyze
-from repro.analyzer.consistency import SubsetGraph, subset_graph_for
 from repro.analyzer.diagnostics import AnalysisReport
 from repro.analyzer.implication import ImplicationResult, check_implications
 from repro.brm.indexes import SchemaIndexes, indexes_for
@@ -48,11 +47,6 @@ class LintContext:
     def indexes(self) -> SchemaIndexes:
         """The shared per-version schema indexes (no fresh scans)."""
         return indexes_for(self.schema)
-
-    @cached_property
-    def subset_graph(self) -> SubsetGraph:
-        """The memoized population-inclusion graph."""
-        return subset_graph_for(self.schema)
 
     @cached_property
     def implications(self) -> ImplicationResult:

@@ -18,9 +18,10 @@ from:
 * IMP408 — the schema is contradictory: an object type is forced
   empty, or two value constraints enumerate disjoint domains.
 
-The warnings (401–406) overlap deliberately with coarser BRM-family
-smells (e.g. BRM017 flags redundant subsets by reachability): the
-IMP rules add the machine-checkable proof chain, which is what the
+The warnings (401–406) overlap deliberately with BRM-family smells
+(BRM017 flags exactly IMP401's subjects, BRM011/012 the
+exclusion-forced part of IMP406's): the IMP rules add the
+machine-checkable proof chain, which is what the
 executor's ``prune_implied`` mode and the robustness kill-shot test
 consume.
 """

@@ -6,7 +6,7 @@ indexed :class:`BinarySchema` methods and the retained
 :class:`LinearScanOracle` after randomized mutation sequences; the
 version tests pin down the invalidation contract (every mutator
 bumps, copies share stamps, constraint-only mutations invalidate the
-memoized ``analyze()``/``SubsetGraph``).
+memoized ``analyze()`` and inclusion graph).
 """
 
 import random
@@ -14,8 +14,8 @@ import random
 import pytest
 
 from repro.analyzer.api import analyze
-from repro.analyzer.consistency import subset_graph_for
 from repro.analyzer.correctness import check_correctness
+from repro.analyzer.implication import labeled_graph_for
 from repro.brm import (
     BinarySchema,
     ExclusionConstraint,
@@ -283,9 +283,9 @@ def test_constraint_only_mutation_invalidates_analyze(small_schema):
     assert third is not first and third is not second
 
 
-def test_constraint_only_mutation_invalidates_subset_graph(small_schema):
-    first = subset_graph_for(small_schema)
-    assert subset_graph_for(small_schema) is first
+def test_constraint_only_mutation_invalidates_labeled_graph(small_schema):
+    first = labeled_graph_for(small_schema)
+    assert labeled_graph_for(small_schema) is first
     small_schema.add_constraint(
         SubsetConstraint(
             "S_inv",
@@ -293,14 +293,14 @@ def test_constraint_only_mutation_invalidates_subset_graph(small_schema):
             superset=RoleId("has_id", "of"),
         )
     )
-    second = subset_graph_for(small_schema)
+    second = labeled_graph_for(small_schema)
     assert second is not first
-    assert second.reaches(
+    assert second.find_path(
         ("role", "has_id", "with"), ("role", "has_id", "of")
-    )
-    assert not first.reaches(
+    ) is not None
+    assert first.find_path(
         ("role", "has_id", "with"), ("role", "has_id", "of")
-    )
+    ) is None
 
 
 def test_copy_hits_the_same_memo_entry(small_schema):
@@ -316,21 +316,22 @@ def test_uncached_correctness_bypasses_memo(small_schema):
     assert fresh == cached
 
 
-def test_subset_graph_reaches_matches_bfs_semantics(small_schema):
-    """Spot-check the SCC/bitmask reachability on known paths."""
-    graph = subset_graph_for(small_schema)
+def test_labeled_graph_paths_match_bfs_semantics(small_schema):
+    """Spot-check inclusion paths and lower bounds on known shapes."""
+    graph = labeled_graph_for(small_schema)
     # role -> player: pop(has_id.with) <= pop(Paper)
-    assert graph.reaches(("role", "has_id", "with"), ("type", "Paper"))
+    assert graph.find_path(("role", "has_id", "with"), ("type", "Paper"))
     # subtype chain: pop(Accepted_Paper) <= pop(Paper)
-    assert graph.reaches(("type", "Accepted_Paper"), ("type", "Paper"))
-    assert not graph.reaches(("type", "Paper"), ("type", "Accepted_Paper"))
+    assert graph.find_path(("type", "Accepted_Paper"), ("type", "Paper"))
+    assert graph.find_path(
+        ("type", "Paper"), ("type", "Accepted_Paper")
+    ) is None
     # lower bounds of Paper include its subtype and its roles
-    bounds = graph.lower_bounds(("type", "Paper"))
+    bounds = graph.lower_bound_paths(("type", "Paper"))
     assert ("type", "Accepted_Paper") in bounds
     assert ("role", "has_id", "with") in bounds
     # unknown nodes only bound themselves
-    assert graph.lower_bounds(("type", "Ghost")) == frozenset(
-        (("type", "Ghost"),)
-    )
-    assert not graph.reaches(("type", "Ghost"), ("type", "Paper"))
-    assert graph.reaches(("type", "Ghost"), ("type", "Ghost"))
+    ghost = ("type", "Ghost")
+    assert graph.lower_bound_paths(ghost) == {ghost: ()}
+    assert graph.find_path(("type", "Ghost"), ("type", "Paper")) is None
+    assert graph.find_path(("type", "Ghost"), ("type", "Ghost")) == ()

@@ -38,17 +38,6 @@ class TestPortedAnalyzerRules:
             if d.code not in new_rules
         } == ported
 
-    def test_analysis_report_shim_matches_lint_codes(self, fig6):
-        shimmed = analyze(fig6).lint_diagnostics()
-        assert shimmed, "shim produced nothing"
-        for diagnostic in shimmed:
-            assert diagnostic.code.startswith("BRM")
-        report = lint_schema(fig6, select=["BRM"])
-        new_rules = {"BRM015", "BRM016", "BRM017"}
-        assert [
-            d for d in report.diagnostics if d.code not in new_rules
-        ] == shimmed
-
     def test_legacy_code_table_is_exported(self):
         assert LEGACY_CODES is MODULE_LEGACY_CODES
         assert LEGACY_CODES["INDISTINCT_SUBTYPE"] == "BRM009"
@@ -88,6 +77,19 @@ def _parallel_subset_schema():
     return builder.build()
 
 
+def _two_role_schema():
+    """Two facts whose first roles are both played by P."""
+    builder = SchemaBuilder("TwoRoles")
+    builder.nolot("P").lot("K", char(3)).lot("L", char(3))
+    builder.fact("f", ("P", "x"), ("K", "y"))
+    builder.fact("g", ("P", "x"), ("L", "y"))
+    return builder
+
+
+def _subjects(report, code):
+    return sorted(d.subject for d in report.diagnostics if d.code == code)
+
+
 class TestNewSchemaRules:
     def test_transitive_sublink_detected(self):
         report = lint_schema(_chain_schema(), select=["BRM016"])
@@ -100,6 +102,21 @@ class TestNewSchemaRules:
     def test_redundant_subset_detected(self):
         report = lint_schema(_parallel_subset_schema(), select=["BRM017"])
         assert [d.subject for d in report.diagnostics] == ["S_ac"]
+
+    def test_duplicate_subset_pair_is_redundant_like_imp401(self):
+        builder = _two_role_schema()
+        builder.subset(("g", "x"), ("f", "x"), name="S1")
+        builder.subset(("g", "x"), ("f", "x"), name="S2")
+        report = lint_schema(builder.build(), select=["BRM017", "IMP401"])
+        assert _subjects(report, "BRM017") == ["S1", "S2"]
+        assert _subjects(report, "IMP401") == ["S1", "S2"]
+
+    def test_subset_parallel_to_role_equality_is_redundant(self):
+        builder = _two_role_schema()
+        builder.equality(("f", "x"), ("g", "x"), name="E1")
+        builder.subset(("g", "x"), ("f", "x"), name="S1")
+        report = lint_schema(builder.build(), select=["BRM017"])
+        assert _subjects(report, "BRM017") == ["S1"]
 
     def test_no_redundant_subsets_in_paper_schemas(self, fig6, cris):
         for schema in (fig6, cris):

@@ -14,8 +14,11 @@ failures shrink to a single reportable seed and the CI fuzzer can
 replay any example from its log line.
 """
 
+import random
+
 from hypothesis import strategies as st
 
+from repro.brm import SchemaBuilder, char
 from repro.mapper import MappingOptions, NullPolicy, SublinkPolicy
 from repro.sql import PROFILES
 from repro.workloads import SchemaShape, generate_schema
@@ -124,3 +127,119 @@ def shaped_schemas(draw, max_seed: int = 10**6):
     shape = draw(schema_shapes())
     seed = draw(st.integers(min_value=0, max_value=max_seed))
     return generate_schema(shape, seed=seed)
+
+
+def set_algebraic_schema(seed: int):
+    """A small schema dense in set-algebraic constraints.
+
+    3-7 NOLOTs with random (acyclic) sublinks, 3-8 fact types and 2-7
+    subset, equality, exclusion, total-role and total-union
+    constraints over roles and sublinks; about half of the schemas also
+    carry frequency or value constraints.  Constraint items are drawn
+    mostly from related populations (roles of one player or its
+    sub/supertypes, sublinks of one hierarchy), so exclusions meet
+    shared lower bounds, subsets duplicate or close cycles, and
+    total unions cover emptied items — the shapes that force
+    populations empty, which :func:`generate_schema` never emits.
+    Deterministic in ``seed``.
+    """
+    rng = random.Random(seed)
+    builder = SchemaBuilder(f"SetAlgebra{seed}")
+    types = [f"T{i}" for i in range(rng.randint(3, 7))]
+    for name in types:
+        builder.nolot(name)
+    builder.lot("K", char(4)).lot("L", char(4))
+    schema = builder.build()
+
+    # Sublinks point from a later type to an earlier one: no cycles.
+    for index, subtype in enumerate(types[1:], start=1):
+        count = min(rng.choice((0, 0, 1, 1, 2)), index)
+        for supertype in rng.sample(types[:index], count):
+            builder.subtype(subtype, supertype)
+
+    roles = []
+    for number in range(rng.randint(3, 8)):
+        first = rng.choice(types)
+        second = rng.choice(types + ["K", "L"])
+        name = f"f{number}"
+        builder.fact(name, (first, "a"), (second, "b"))
+        roles.extend(schema.fact_type(name).role_ids)
+        if rng.random() < 0.4:
+            builder.unique((name, "a"))
+
+    def population(item) -> str:
+        if isinstance(item, str):
+            return schema.sublink(item.removeprefix("sublink:")).subtype
+        return schema.player_name(item)
+
+    def related(name: str) -> set[str]:
+        return (
+            {name}
+            | set(schema.ancestors_of(name))
+            | {t for t in types if name in schema.ancestors_of(t)}
+        )
+
+    items = roles + [f"sublink:{s.name}" for s in schema.sublinks]
+
+    def pick(count: int) -> list:
+        first = rng.choice(items)
+        near = [
+            item
+            for item in items
+            if item != first and population(item) in related(population(first))
+        ]
+        pool = near if near and rng.random() < 0.8 else [
+            item for item in items if item != first
+        ]
+        return [first] + rng.sample(pool, min(count - 1, len(pool)))
+
+    for _ in range(rng.randint(2, 7)):
+        kind = rng.choice(
+            ("subset", "subset", "equality", "exclusion", "exclusion",
+             "total", "total-union")
+        )
+        if kind == "total":
+            builder.total(rng.choice(roles))
+            continue
+        if kind == "total-union":
+            owner = rng.choice(types)
+            cover = [
+                role for role in roles if schema.player_name(role) == owner
+            ] + [
+                f"sublink:{s.name}"
+                for s in schema.sublinks
+                if s.supertype == owner
+            ]
+            if len(cover) >= 2:
+                builder.total_union(
+                    owner, *rng.sample(cover, rng.randint(2, len(cover)))
+                )
+            continue
+        chosen = pick(2 if kind == "subset" else rng.randint(2, 3))
+        if len(chosen) < 2:
+            continue
+        if kind == "subset":
+            builder.subset(chosen[0], chosen[1])
+        elif kind == "equality":
+            builder.equality(*chosen)
+        else:
+            builder.exclusion(*chosen)
+
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.6:
+                minimum = rng.choice((0, 1, 2, 3))
+                maximum = rng.choice((None, minimum, minimum + 1))
+                builder.frequency(rng.choice(roles), minimum, maximum)
+            else:
+                domain = ("a", "b", "c", "d")
+                builder.values(
+                    rng.choice(("K", "L")),
+                    rng.sample(domain, rng.randint(1, 3)),
+                )
+    return schema
+
+
+def set_algebraic_schemas(max_seed: int = 10**6) -> st.SearchStrategy:
+    """:func:`set_algebraic_schema` over a drawn seed."""
+    return st.builds(set_algebraic_schema, seeds(max_seed))
