@@ -29,7 +29,7 @@ PROFILE = QueryProfile(
 
 
 def workload_cost(result, profile):
-    compiler = QueryCompiler(result)
+    compiler = QueryCompiler.for_result(result)
     total = 0.0
     for pattern in profile.patterns:
         compiled = compiler.compile(

@@ -62,7 +62,7 @@ def main():
     print()
 
     # 5. Query it conceptually.
-    compiler = QueryCompiler(result)
+    compiler = QueryCompiler.for_result(result)
     query = ConceptualQuery(
         "Book",
         selections=(

@@ -89,7 +89,7 @@ def main():
         ),
     ):
         result = map_schema(schema, options) if options else map_schema(schema)
-        compiler = QueryCompiler(result)
+        compiler = QueryCompiler.for_result(result)
         compiled = compiler.compile(query)
         database = result.forward(population)
         answers = compiler.execute(compiled, database)

@@ -38,10 +38,12 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.analyzer.implication import check_implications
 from repro.brm.schema import BinarySchema
 from repro.engine.cost import CostModel
+from repro.errors import MappingError
 from repro.mapper.engine import map_prefix, plan_from_prefix
 from repro.mapper.options import MappingOptions
 from repro.mapper.optionspace import (
@@ -53,8 +55,10 @@ from repro.mapper.optionspace import (
 from repro.mapper.rulebase import Rule
 from repro.mapper.synthesis import MappingPlan
 from repro.observability import tracer as obs
+from repro.ridl.queries import ConceptualQuery, FactSelection, QueryCompiler
 from repro.robustness.health import HealthReport
 from repro.workloads.statistics import (
+    QueryPattern,
     WorkloadProfile,
     plan_row_bytes,
     plan_statistics,
@@ -82,7 +86,9 @@ class CandidateScore:
 
     tables: int
     storage_pages: int
-    entity_fetch_pages: int
+    #: Whole pages for the default one-fetch-per-type workload; the
+    #: frequency-weighted sum when the profile carries query patterns.
+    entity_fetch_pages: float
     nullable_columns: int
     total: float
 
@@ -280,11 +286,18 @@ def score_plan(
     ``storage_pages`` totals the heap sizes; ``entity_fetch_pages``
     totals, over every object type, the keyed lookups needed to
     gather the type's facts from all relations owned by it (the
-    dynamic-join cost of section 4); ``nullable_columns`` counts the
-    nullable non-key columns (the paper's bracketed attributes) as
-    the design's null exposure.
+    dynamic-join cost of section 4) — or, when ``profile.patterns``
+    is set, the frequency-weighted keyed lookups of each pattern's
+    compiled fetch; ``nullable_columns`` counts the nullable non-key
+    columns (the paper's bracketed attributes) as the design's null
+    exposure.  A pattern the design cannot answer raises
+    :class:`~repro.errors.MappingError`.
     """
     statistics = plan_statistics(plan, profile)
+
+    def lookup_pages(name: str) -> int:
+        return model.index_depth(statistics.row_count(name)) + 1
+
     storage_pages = 0
     nullable_columns = 0
     spread: dict[str, list[str]] = {}
@@ -298,12 +311,15 @@ def score_plan(
         )
         if relation_plan.owner is not None:
             spread.setdefault(relation_plan.owner, []).append(name)
-    entity_fetch_pages = 0
-    for owner in sorted(spread):
-        for name in spread[owner]:
-            entity_fetch_pages += (
-                model.index_depth(statistics.row_count(name)) + 1
-            )
+    entity_fetch_pages: float = 0
+    if profile.patterns:
+        entity_fetch_pages = _pattern_fetch_pages(
+            plan, profile.patterns, lookup_pages
+        )
+    else:
+        for owner in sorted(spread):
+            for name in spread[owner]:
+                entity_fetch_pages += lookup_pages(name)
     tables = len(plan.plans)
     total = round(
         weights.entity_fetch * entity_fetch_pages
@@ -319,6 +335,40 @@ def score_plan(
         nullable_columns=nullable_columns,
         total=total,
     )
+
+
+def _pattern_fetch_pages(
+    plan: MappingPlan,
+    patterns: tuple[QueryPattern, ...],
+    lookup_pages: Callable[[str], int],
+) -> float:
+    """Frequency-weighted page reads of the patterns' entity fetches:
+    one keyed lookup per relation each compiled fetch touches."""
+    compiler = QueryCompiler(plan)
+    total = 0.0
+    for pattern in patterns:
+        query = ConceptualQuery(
+            pattern.object_type,
+            selections=tuple(FactSelection(fact) for fact in pattern.facts),
+        )
+        try:
+            compiled = compiler.compile(query)
+        except MappingError as exc:
+            raise MappingError(f"pattern {pattern.describe()}: {exc}") from exc
+        total += pattern.frequency * sum(
+            lookup_pages(name) for name in compiled.relations_touched
+        )
+    return total
+
+
+def _check_patterns(schema: BinarySchema, profile: WorkloadProfile) -> None:
+    """Refuse a profile whose patterns name an object type or fact type
+    the schema does not have (:class:`~repro.errors.UnknownElementError`),
+    before any candidate is mapped."""
+    for pattern in profile.patterns:
+        schema.object_type(pattern.object_type)
+        for fact in pattern.facts:
+            schema.fact_type(fact)
 
 
 @dataclass(frozen=True)
@@ -464,8 +514,13 @@ discover_space` for the schema.  ``workers`` defaults to the CPU
     count; ``workers=1`` runs serially in-process and produces a
     bit-identical report.  With ``workers > 1`` the payloads cross a
     process boundary, so ``extra_rules`` must be picklable
-    (module-level functions).
+    (module-level functions).  Query patterns naming an unknown
+    object type or fact type raise
+    :class:`~repro.errors.UnknownElementError` up front; a candidate
+    that cannot answer a known pattern (e.g. its fact relation is
+    omitted) is reported as failed.
     """
+    _check_patterns(schema, profile)
     tracer = obs.active()
     with obs.span("advisor.advise", schema=schema.name) as advise_span:
         if space is None:

@@ -27,20 +27,7 @@ from repro.errors import MappingError
 from repro.mapper.engine import map_schema
 from repro.mapper.options import MappingOptions, NullPolicy, SublinkPolicy
 from repro.ridl.queries import ConceptualQuery, FactSelection, QueryCompiler
-
-
-@dataclass(frozen=True)
-class QueryPattern:
-    """One conceptual access pattern.
-
-    ``facts`` are the fact types fetched together with the instance
-    of ``object_type``; ``frequency`` is its relative weight in the
-    workload (executions per unit of time).
-    """
-
-    object_type: str
-    facts: tuple[str, ...]
-    frequency: float = 1.0
+from repro.workloads.statistics import QueryPattern
 
 
 @dataclass(frozen=True)
@@ -147,7 +134,7 @@ def evaluate_candidate(
             table_count=0,
             error=str(exc),
         )
-    compiler = QueryCompiler(result)
+    compiler = QueryCompiler.for_result(result)
     pattern_costs: dict[str, float] = {}
     total = 0.0
     for pattern in profile.patterns:

@@ -20,11 +20,13 @@ in-memory engine, returning answers in conceptual terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.brm.facts import RoleId
 from repro.errors import MappingError
 from repro.mapper.result import MappingResult
-from repro.mapper.synthesis import RoleLocation
+from repro.mapper.state import EliminationRecord
+from repro.mapper.synthesis import MappingPlan, RoleLocation
 
 
 @dataclass(frozen=True)
@@ -132,11 +134,26 @@ class CompiledQuery:
 
 
 class QueryCompiler:
-    """Compiles conceptual queries through a mapping result."""
+    """Compiles conceptual queries through a mapping plan.
 
-    def __init__(self, result: MappingResult) -> None:
-        self.result = result
-        self.plan = result.plan
+    Fact selections and value filters need only the plan.
+    ``eliminations`` (the binary phase's TOGETHER records) are read
+    only to compile a :class:`SubtypeFilter` on a subtype absorbed
+    into its supertype; :meth:`for_result` supplies both.
+    """
+
+    def __init__(
+        self,
+        plan: MappingPlan,
+        eliminations: Mapping[str, EliminationRecord] | None = None,
+    ) -> None:
+        self.plan = plan
+        self.eliminations = eliminations or {}
+
+    @classmethod
+    def for_result(cls, result: MappingResult) -> "QueryCompiler":
+        """A compiler over a full mapping session's plan and hints."""
+        return cls(result.plan, result.state.hints.eliminations)
 
     # ------------------------------------------------------------------
 
@@ -290,7 +307,7 @@ class QueryCompiler:
                 return (repr_.sub_relation, sub_plan.key_columns[0], None)
         # A TOGETHER-eliminated sublink: membership is the anchor
         # role's presence or the synthesized indicator column.
-        for record in self.result.state.hints.eliminations.values():
+        for record in self.eliminations.values():
             if record.subtype != subtype:
                 continue
             if record.anchor is not None:

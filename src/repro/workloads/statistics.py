@@ -22,6 +22,24 @@ from repro.mapper.synthesis import MappingPlan
 
 
 @dataclass(frozen=True)
+class QueryPattern:
+    """One conceptual access pattern.
+
+    ``facts`` are the fact types fetched together with the instance
+    of ``object_type``; ``frequency`` is its relative weight in the
+    workload (executions per unit of time).
+    """
+
+    object_type: str
+    facts: tuple[str, ...]
+    frequency: float = 1.0
+
+    def describe(self) -> str:
+        """A short label for reports and error messages."""
+        return f"{self.object_type}({', '.join(self.facts)})"
+
+
+@dataclass(frozen=True)
 class WorkloadProfile:
     """Population assumptions for one application environment.
 
@@ -30,12 +48,15 @@ class WorkloadProfile:
     is the fraction of instances actually playing an optional role
     (satellite-relation row count); ``fact_fanout`` is the average
     number of many-to-many fact instances per owner instance.
+    ``patterns``, when given, replace the advisor's default fetch of
+    every object type with the weighted fetches the applications run.
     """
 
     default_instances: int = 10_000
     optional_fill: float = 0.6
     fact_fanout: float = 2.0
     instances: tuple[tuple[str, int], ...] = ()
+    patterns: tuple[QueryPattern, ...] = ()
 
     def instances_of(self, type_name: str) -> int:
         """Estimated instance count of one object type."""

@@ -15,8 +15,19 @@ from repro.mapper import (
     plan_from_prefix,
     score_plan,
 )
-from repro.mapper.advisor import resolve_workers
-from repro.workloads.statistics import WorkloadProfile, plan_statistics
+from repro.engine.cost import TableStatistics
+from repro.errors import UnknownElementError
+from repro.mapper.advisor import ScoreWeights, resolve_workers
+from repro.mapper.expert import (
+    QueryProfile,
+    candidate_option_sets,
+    recommend_options,
+)
+from repro.workloads.statistics import (
+    QueryPattern,
+    WorkloadProfile,
+    plan_statistics,
+)
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +226,128 @@ class TestAdvise:
         # 3 nulls x 3 sublinks prefixes, omit toggles fan the rest out.
         assert report.prefix_groups == 9
         assert len(report.ranked) == 36
+
+
+#: Three application environments over figure 6: a front desk that
+#: fetches a paper with its whole programme entry, a one-off title
+#: lookup, and a submission tracker.
+PATTERN_PROFILES = {
+    "hot": (
+        QueryPattern(
+            "Paper",
+            ("Paper_has_Title", "submission", "presents", "scheduled"),
+            frequency=100.0,
+        ),
+        QueryPattern("Paper", ("Paper_has_Title",), frequency=10.0),
+    ),
+    "cold": (QueryPattern("Paper", ("Paper_has_Title",), frequency=1.0),),
+    "tracker": (
+        QueryPattern("Paper", ("Paper_has_Title",), frequency=50.0),
+        QueryPattern(
+            "Paper", ("Paper_has_Title", "submission"), frequency=10.0
+        ),
+    ),
+}
+
+#: "Denormalize only when the workload pays": rank on fetch pages
+#: alone, at a size where every relation is three index levels deep.
+FETCH_ONLY = ScoreWeights(tables=0, storage=0, null_exposure=0)
+
+
+def pattern_profile(patterns):
+    return WorkloadProfile(
+        default_instances=100_000, optional_fill=1.0, patterns=patterns
+    )
+
+
+def plan_for(schema, options):
+    return plan_from_prefix(map_prefix(schema, options), options)[0]
+
+
+class TestPatternPricing:
+    @pytest.mark.parametrize("profile_name", sorted(PATTERN_PROFILES))
+    def test_matches_full_map_pricing(self, schema, profile_name):
+        """Plan-level pattern pricing equals pricing each pattern's
+        compiled fetch on a fully materialized mapping."""
+        patterns = PATTERN_PROFILES[profile_name]
+        oracle = recommend_options(
+            schema,
+            QueryProfile(patterns),
+            statistics=TableStatistics(default_rows=100_000),
+        )
+        expected = {e.label: e.weighted_cost for e in oracle.ranking}
+        for label, options in candidate_option_sets(schema):
+            score = score_plan(
+                plan_for(schema, options), pattern_profile(patterns)
+            )
+            assert score.entity_fetch_pages == expected[label], label
+
+    def test_no_patterns_keeps_per_type_fetch(self, schema):
+        plan = plan_for(schema, MappingOptions())
+        assert score_plan(plan, WorkloadProfile()) == score_plan(plan)
+        assert isinstance(score_plan(plan).entity_fetch_pages, int)
+
+    def test_hot_workload_denormalizes(self, schema):
+        report = advise(
+            schema,
+            workers=1,
+            profile=pattern_profile(PATTERN_PROFILES["hot"]),
+            weights=FETCH_ONLY,
+        )
+        assert report.winner.label == "DEFAULT TOGETHER"
+        assert report.winner.score.entity_fetch_pages == 440
+        by_label = {o.label: o for o in report.ranked}
+        assert by_label["DEFAULT SEPARATE"].score.entity_fetch_pages == 840
+
+    @pytest.mark.parametrize("profile_name", ["cold", "tracker"])
+    def test_ties_keep_the_default(self, schema, profile_name):
+        report = advise(
+            schema,
+            workers=1,
+            profile=pattern_profile(PATTERN_PROFILES[profile_name]),
+            weights=FETCH_ONLY,
+        )
+        assert report.winner.label == "DEFAULT SEPARATE"
+
+    @pytest.mark.parametrize(
+        "pattern, kind",
+        [
+            (QueryPattern("Ghost", ("Paper_has_Title",)), "object type"),
+            (QueryPattern("Paper", ("no_such_fact",)), "fact type"),
+        ],
+    )
+    def test_unknown_names_rejected_up_front(self, schema, pattern, kind):
+        with pytest.raises(UnknownElementError) as info:
+            advise(
+                schema,
+                SMALL_SPACE,
+                workers=1,
+                profile=WorkloadProfile(patterns=(pattern,)),
+            )
+        assert info.value.kind == kind
+
+    def test_unanswerable_pattern_fails_only_its_candidate(self, schema):
+        space = OptionSpace(
+            null_policies=(NullPolicy.DEFAULT,),
+            sublink_policies=(SublinkPolicy.SEPARATE,),
+            omit_toggles=("Program_Paper",),
+        )
+        report = advise(
+            schema,
+            space,
+            workers=1,
+            profile=WorkloadProfile(
+                patterns=(QueryPattern("Paper", ("presents",)),)
+            ),
+        )
+        assert report.winner.label == "DEFAULT SEPARATE"
+        (failed,) = report.failures
+        assert failed.label == "DEFAULT SEPARATE omit(Program_Paper)"
+        assert failed.error == (
+            "pattern Paper(presents): fact 'presents' was not mapped "
+            "(omitted table?)"
+        )
+        assert "FAILED" in report.render()
 
 
 class TestResolveWorkers:

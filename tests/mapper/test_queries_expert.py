@@ -41,7 +41,7 @@ def population(schema):
 class TestCompilation:
     def test_anchor_only_query(self, schema, population):
         result = map_schema(schema)
-        compiler = QueryCompiler(result)
+        compiler = QueryCompiler.for_result(result)
         compiled = compiler.compile(
             ConceptualQuery(
                 "Paper",
@@ -53,7 +53,7 @@ class TestCompilation:
 
     def test_subtype_fact_joins_through_sublink_attribute(self, schema):
         result = map_schema(schema)
-        compiler = QueryCompiler(result)
+        compiler = QueryCompiler.for_result(result)
         compiled = compiler.compile(
             ConceptualQuery("Paper", selections=(FactSelection("scheduled"),))
         )
@@ -65,14 +65,14 @@ class TestCompilation:
         )
 
     def test_unknown_fact_rejected(self, schema):
-        compiler = QueryCompiler(map_schema(schema))
+        compiler = QueryCompiler.for_result(map_schema(schema))
         with pytest.raises(MappingError):
             compiler.compile(
                 ConceptualQuery("Paper", selections=(FactSelection("nope"),))
             )
 
     def test_unrelated_fact_rejected(self, schema):
-        compiler = QueryCompiler(map_schema(schema))
+        compiler = QueryCompiler.for_result(map_schema(schema))
         with pytest.raises(MappingError):
             compiler.compile(
                 ConceptualQuery(
@@ -81,7 +81,7 @@ class TestCompilation:
             )
 
     def test_unanchored_type_rejected(self, schema):
-        compiler = QueryCompiler(map_schema(schema))
+        compiler = QueryCompiler.for_result(map_schema(schema))
         with pytest.raises(MappingError):
             compiler.compile(ConceptualQuery("Person"))
 
@@ -89,7 +89,7 @@ class TestCompilation:
         result = map_schema(
             schema, MappingOptions(omit_tables=("Invited_Paper",))
         )
-        compiler = QueryCompiler(result)
+        compiler = QueryCompiler.for_result(result)
         # Invited_Paper had no facts; but querying for a fact whose
         # table was omitted must fail loudly, so omit a satellite.
         result2 = map_schema(
@@ -99,7 +99,7 @@ class TestCompilation:
                 omit_tables=("Paper_submission",),
             ),
         )
-        compiler2 = QueryCompiler(result2)
+        compiler2 = QueryCompiler.for_result(result2)
         with pytest.raises(MappingError):
             compiler2.compile(
                 ConceptualQuery(
@@ -116,7 +116,7 @@ class TestExecution:
         """One conceptual query; four physical designs; one answer."""
         result = map_schema(schema, options)
         database = result.forward(population)
-        compiler = QueryCompiler(result)
+        compiler = QueryCompiler.for_result(result)
         compiled = compiler.compile(
             ConceptualQuery(
                 "Paper",
@@ -144,7 +144,7 @@ class TestExecution:
     ):
         result = map_schema(schema, options)
         database = result.forward(population)
-        compiler = QueryCompiler(result)
+        compiler = QueryCompiler.for_result(result)
         compiled = compiler.compile(
             ConceptualQuery(
                 "Paper",
@@ -158,7 +158,7 @@ class TestExecution:
     def test_value_filter(self, schema, population):
         result = map_schema(schema)
         database = result.forward(population)
-        compiler = QueryCompiler(result)
+        compiler = QueryCompiler.for_result(result)
         compiled = compiler.compile(
             ConceptualQuery(
                 "Paper",
@@ -175,7 +175,7 @@ class TestExecution:
     ):
         result = map_schema(schema)
         database = result.forward(population)
-        compiler = QueryCompiler(result)
+        compiler = QueryCompiler.for_result(result)
         compiled = compiler.compile(
             ConceptualQuery(
                 "Paper",

@@ -71,7 +71,7 @@ class TestCrisQueries:
     def test_referee_assignments(self, schema, population):
         result = map_schema(schema)
         database = result.forward(population)
-        compiler = QueryCompiler(result)
+        compiler = QueryCompiler.for_result(result)
         compiled = compiler.compile(
             ConceptualQuery(
                 "Paper",
@@ -92,7 +92,7 @@ class TestCrisQueries:
     def test_program_papers_only(self, schema, population):
         result = map_schema(schema)
         database = result.forward(population)
-        compiler = QueryCompiler(result)
+        compiler = QueryCompiler.for_result(result)
         compiled = compiler.compile(
             ConceptualQuery(
                 "Paper",
