@@ -15,47 +15,51 @@ Run with::
 """
 
 from repro.cris import figure6_population, figure6_schema
-from repro.engine.cost import TableStatistics
-from repro.mapper import map_schema
-from repro.mapper.expert import QueryPattern, QueryProfile, recommend_options
+from repro.mapper import ScoreWeights, advise, map_schema
 from repro.ridl import ConceptualQuery, FactSelection, QueryCompiler
+from repro.workloads.statistics import QueryPattern, WorkloadProfile
+
+#: Rank on entity-fetch pages alone: denormalize only when the
+#: workload pays for it (ties keep the default SEPARATE design).
+FETCH_ONLY = ScoreWeights(tables=0, storage=0, null_exposure=0)
+
+
+def environment(*patterns):
+    """A workload of 100,000 instances per type with every optional
+    role filled, fetched by the given query patterns."""
+    return WorkloadProfile(
+        default_instances=100_000, optional_fill=1.0, patterns=patterns
+    )
 
 
 def main():
     schema = figure6_schema()
-    statistics = TableStatistics(default_rows=100_000)
 
     # Environment A: a conference-front-desk application that always
     # fetches a paper with its full programme information.
-    front_desk = QueryProfile(
-        (
-            QueryPattern(
-                "Paper",
-                ("Paper_has_Title", "submission", "presents", "scheduled"),
-                frequency=100.0,
-            ),
-        )
+    front_desk = environment(
+        QueryPattern(
+            "Paper",
+            ("Paper_has_Title", "submission", "presents", "scheduled"),
+            frequency=100.0,
+        ),
     )
     # Environment B: a submission-tracking application that only ever
     # reads titles and submission dates.
-    tracker = QueryProfile(
-        (
-            QueryPattern("Paper", ("Paper_has_Title",), frequency=50.0),
-            QueryPattern(
-                "Paper", ("Paper_has_Title", "submission"), frequency=10.0
-            ),
-        )
+    tracker = environment(
+        QueryPattern("Paper", ("Paper_has_Title",), frequency=50.0),
+        QueryPattern("Paper", ("Paper_has_Title", "submission"), frequency=10.0),
     )
 
+    recommended = {}
     for name, profile in (("front desk", front_desk), ("tracker", tracker)):
         print("=" * 70)
         print(f"application environment: {name}")
         print("=" * 70)
-        recommendation = recommend_options(
-            schema, profile, statistics=statistics
-        )
-        print(recommendation.render())
-        result = map_schema(schema, recommendation.best.options)
+        report = advise(schema, workers=1, profile=profile, weights=FETCH_ONLY)
+        print(report.render())
+        recommended[name] = report.winner_options
+        result = map_schema(schema, report.winner_options)
         print("recommended physical design:")
         for relation in result.relational.relations:
             columns = ", ".join(
@@ -81,12 +85,7 @@ def main():
     print("=" * 70)
     for label, options in (
         ("default (SEPARATE)", None),
-        (
-            "recommended for front desk",
-            recommend_options(
-                schema, front_desk, statistics=statistics
-            ).best.options,
-        ),
+        ("recommended for front desk", recommended["front desk"]),
     ):
         result = map_schema(schema, options) if options else map_schema(schema)
         compiler = QueryCompiler.for_result(result)

@@ -49,7 +49,6 @@ from repro.mapper import (
     TransformationEngine,
     map_schema,
 )
-from repro.mapper.expert import QueryPattern, QueryProfile, recommend_options
 from repro.mapper.translate import translate_state
 from repro.mapper.naive import naive_map
 from repro.metadb import MetaDatabase
@@ -57,6 +56,7 @@ from repro.notation import render_ascii, render_dot
 from repro.ridl import ConceptualQuery, FactSelection, QueryCompiler
 from repro.ridlf import ExampleTable, induce_schema
 from repro.sql import generate_sql
+from repro.workloads.statistics import QueryPattern
 
 __version__ = "1.0.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "FactSelection",
     "QueryCompiler",
     "QueryPattern",
-    "QueryProfile",
     "MappingOptions",
     "MappingResult",
     "MetaDatabase",
@@ -93,7 +92,6 @@ __all__ = [
     "naive_map",
     "numeric",
     "parse",
-    "recommend_options",
     "real",
     "render_ascii",
     "render_dot",

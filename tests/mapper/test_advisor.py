@@ -15,14 +15,10 @@ from repro.mapper import (
     plan_from_prefix,
     score_plan,
 )
-from repro.engine.cost import TableStatistics
+from repro.engine.cost import TableStatistics, entity_fetch_cost
 from repro.errors import UnknownElementError
 from repro.mapper.advisor import ScoreWeights, resolve_workers
-from repro.mapper.expert import (
-    QueryProfile,
-    candidate_option_sets,
-    recommend_options,
-)
+from repro.ridl import ConceptualQuery, FactSelection, QueryCompiler
 from repro.workloads.statistics import (
     QueryPattern,
     WorkloadProfile,
@@ -264,23 +260,76 @@ def plan_for(schema, options):
     return plan_from_prefix(map_prefix(schema, options), options)[0]
 
 
+#: The hand-picked candidates of the retired full-map recommender:
+#: the global policies plus one TOGETHER override per sublink.
+EXPERT_CANDIDATES = {
+    "default": MappingOptions(),
+    "not-allowed": MappingOptions(null_policy=NullPolicy.NOT_ALLOWED),
+    "indicator": MappingOptions(sublink_policy=SublinkPolicy.INDICATOR),
+    "together": MappingOptions(sublink_policy=SublinkPolicy.TOGETHER),
+    "together-invited": MappingOptions(
+        sublink_overrides=(("Invited_Paper_IS_Paper", SublinkPolicy.TOGETHER),)
+    ),
+    "together-program": MappingOptions(
+        sublink_overrides=(("Program_Paper_IS_Paper", SublinkPolicy.TOGETHER),)
+    ),
+}
+
+#: Weighted page reads per profile and candidate, as the full-map
+#: recommender priced them (compile each pattern on the materialized
+#: mapping, one keyed lookup per touched relation at 100,000 rows);
+#: the plan-level pricing was checked equal to it before it was
+#: removed.
+EXPECTED_FETCH_PAGES = {
+    "hot": {
+        "default": 840,
+        "not-allowed": 1640,
+        "indicator": 840,
+        "together": 440,
+        "together-invited": 840,
+        "together-program": 440,
+    },
+    "cold": dict.fromkeys(EXPERT_CANDIDATES, 4),
+    "tracker": {
+        "default": 240,
+        "not-allowed": 280,
+        "indicator": 240,
+        "together": 240,
+        "together-invited": 240,
+        "together-program": 240,
+    },
+}
+
+
 class TestPatternPricing:
     @pytest.mark.parametrize("profile_name", sorted(PATTERN_PROFILES))
     def test_matches_full_map_pricing(self, schema, profile_name):
         """Plan-level pattern pricing equals pricing each pattern's
         compiled fetch on a fully materialized mapping."""
         patterns = PATTERN_PROFILES[profile_name]
-        oracle = recommend_options(
-            schema,
-            QueryProfile(patterns),
-            statistics=TableStatistics(default_rows=100_000),
-        )
-        expected = {e.label: e.weighted_cost for e in oracle.ranking}
-        for label, options in candidate_option_sets(schema):
+        statistics = TableStatistics(default_rows=100_000)
+        for name, options in EXPERT_CANDIDATES.items():
             score = score_plan(
                 plan_for(schema, options), pattern_profile(patterns)
             )
-            assert score.entity_fetch_pages == expected[label], label
+            result = map_schema(schema, options)
+            compiler = QueryCompiler.for_result(result)
+            full_map = sum(
+                pattern.frequency
+                * entity_fetch_cost(
+                    result.relational,
+                    compiler.compile(
+                        ConceptualQuery(
+                            pattern.object_type,
+                            tuple(FactSelection(f) for f in pattern.facts),
+                        )
+                    ).relations_touched,
+                    statistics,
+                )
+                for pattern in patterns
+            )
+            expected = EXPECTED_FETCH_PAGES[profile_name][name]
+            assert score.entity_fetch_pages == full_map == expected, name
 
     def test_no_patterns_keeps_per_type_fetch(self, schema):
         plan = plan_for(schema, MappingOptions())
@@ -325,29 +374,6 @@ class TestPatternPricing:
                 profile=WorkloadProfile(patterns=(pattern,)),
             )
         assert info.value.kind == kind
-
-    def test_unanswerable_pattern_fails_only_its_candidate(self, schema):
-        space = OptionSpace(
-            null_policies=(NullPolicy.DEFAULT,),
-            sublink_policies=(SublinkPolicy.SEPARATE,),
-            omit_toggles=("Program_Paper",),
-        )
-        report = advise(
-            schema,
-            space,
-            workers=1,
-            profile=WorkloadProfile(
-                patterns=(QueryPattern("Paper", ("presents",)),)
-            ),
-        )
-        assert report.winner.label == "DEFAULT SEPARATE"
-        (failed,) = report.failures
-        assert failed.label == "DEFAULT SEPARATE omit(Program_Paper)"
-        assert failed.error == (
-            "pattern Paper(presents): fact 'presents' was not mapped "
-            "(omitted table?)"
-        )
-        assert "FAILED" in report.render()
 
 
 class TestResolveWorkers:

@@ -4,15 +4,17 @@ multi-item view constraints, collision handling."""
 import pytest
 
 from repro.brm import Population, SchemaBuilder, char, numeric
-from repro.engine.cost import TableStatistics
-from repro.mapper import MappingOptions, NullPolicy, map_schema
-from repro.mapper.expert import (
-    QueryPattern,
-    QueryProfile,
-    evaluate_candidate,
-    recommend_options,
+from repro.errors import UnknownElementError
+from repro.mapper import (
+    MappingOptions,
+    NullPolicy,
+    OptionSpace,
+    SublinkPolicy,
+    advise,
+    map_schema,
 )
 from repro.relational import EqualityViewConstraint
+from repro.workloads.statistics import QueryPattern, WorkloadProfile
 
 
 class TestDegradedConstraints:
@@ -120,46 +122,50 @@ class TestColumnCollisions:
 
 
 class TestExpertEdgeCases:
-    def test_infeasible_candidate_reported_not_raised(self):
+    #: DEFAULT SEPARATE with and without the Program_Paper relation.
+    SPACE = OptionSpace(
+        null_policies=(NullPolicy.DEFAULT,),
+        sublink_policies=(SublinkPolicy.SEPARATE,),
+        omit_toggles=("Program_Paper",),
+    )
+
+    def advise_presents(self):
         from repro.cris import figure6_schema
 
-        schema = figure6_schema()
-        profile = QueryProfile(
-            (QueryPattern("Paper", ("no_such_fact",), frequency=1.0),)
+        return advise(
+            figure6_schema(),
+            self.SPACE,
+            workers=1,
+            profile=WorkloadProfile(
+                patterns=(QueryPattern("Paper", ("presents",)),)
+            ),
         )
-        evaluation = evaluate_candidate(
-            schema,
-            "default",
-            MappingOptions(),
-            profile,
-            TableStatistics(),
+
+    def test_infeasible_candidate_reported_not_raised(self):
+        report = self.advise_presents()
+        (failed,) = report.failures
+        assert failed.options.omit_tables == ("Program_Paper",)
+        assert failed.error == (
+            "pattern Paper(presents): fact 'presents' was not mapped "
+            "(omitted table?)"
         )
-        assert not evaluation.feasible
-        assert "no_such_fact" in (evaluation.error or "")
+        assert failed.score is None
+        assert report.winner.label == "DEFAULT SEPARATE"
 
     def test_all_infeasible_raises(self):
+        """A pattern no candidate could answer because the schema has
+        no such fact is refused before any candidate is mapped."""
         from repro.cris import figure6_schema
-        from repro.errors import MappingError
 
-        schema = figure6_schema()
-        profile = QueryProfile(
-            (QueryPattern("Paper", ("no_such_fact",), frequency=1.0),)
+        profile = WorkloadProfile(
+            patterns=(QueryPattern("Paper", ("no_such_fact",)),)
         )
-        with pytest.raises(MappingError):
-            recommend_options(schema, profile)
+        with pytest.raises(UnknownElementError, match="no_such_fact"):
+            advise(figure6_schema(), self.SPACE, workers=1, profile=profile)
 
     def test_render_marks_infeasible(self):
-        from repro.cris import figure6_schema
-
-        schema = figure6_schema()
-        profile = QueryProfile(
-            (
-                QueryPattern("Paper", ("Paper_has_Title",), frequency=1.0),
-                # This one only exists after TOGETHER elimination at the
-                # Paper level via inheritance; it is feasible everywhere,
-                # so craft an infeasible one with a bogus object type.
-                QueryPattern("Paper", ("Paper_has_Title",), frequency=1.0),
-            )
-        )
-        recommendation = recommend_options(schema, profile)
-        assert "<= recommended" in recommendation.render()
+        report = self.advise_presents()
+        rendered = report.render()
+        assert "FAILED" in rendered
+        assert "omit(Program_Paper)  [pattern Paper(presents):" in rendered
+        assert "winner: DEFAULT SEPARATE" in rendered

@@ -1,16 +1,18 @@
-"""Tests for the conceptual query compiler and the expert-rule advisor."""
+"""Tests for the conceptual query compiler and for workload-driven
+option selection (the concluding remarks' expert rules) through the
+advisor's query-pattern pricing."""
 
 import pytest
 
 from repro.cris import figure6_population, figure6_schema
-from repro.engine.cost import TableStatistics
 from repro.errors import MappingError
-from repro.mapper import MappingOptions, NullPolicy, SublinkPolicy, map_schema
-from repro.mapper.expert import (
-    QueryPattern,
-    QueryProfile,
-    candidate_option_sets,
-    recommend_options,
+from repro.mapper import (
+    MappingOptions,
+    NullPolicy,
+    ScoreWeights,
+    SublinkPolicy,
+    advise,
+    map_schema,
 )
 from repro.ridl import (
     ConceptualQuery,
@@ -19,6 +21,7 @@ from repro.ridl import (
     SubtypeFilter,
     ValueFilter,
 )
+from repro.workloads.statistics import QueryPattern, WorkloadProfile
 
 ALL_OPTIONS = [
     ("alt1", MappingOptions()),
@@ -186,61 +189,55 @@ class TestExecution:
         assert {row["Paper"] for row in answers} == {"P1", "P2"}
 
 
-class TestExpertRules:
-    def hot_profile(self):
-        return QueryProfile(
-            (
-                QueryPattern(
-                    "Paper",
-                    ("Paper_has_Title", "submission", "presents", "scheduled"),
-                    frequency=100.0,
-                ),
-            )
-        )
+#: Rank on fetch pages alone: denormalize only when the workload pays.
+FETCH_ONLY = ScoreWeights(tables=0, storage=0, null_exposure=0)
 
-    def test_candidates_cover_policies_and_sublinks(self, schema):
-        labels = [label for label, _ in candidate_option_sets(schema)]
-        assert "default (SEPARATE)" in labels
-        assert "TOGETHER everywhere" in labels
-        assert any("Program_Paper_IS_Paper" in label for label in labels)
+
+def advise_for(schema, *patterns):
+    return advise(
+        schema,
+        workers=1,
+        profile=WorkloadProfile(
+            default_instances=100_000, optional_fill=1.0, patterns=patterns
+        ),
+        weights=FETCH_ONLY,
+    )
+
+
+class TestExpertRules:
+    HOT = QueryPattern(
+        "Paper",
+        ("Paper_has_Title", "submission", "presents", "scheduled"),
+        frequency=100.0,
+    )
 
     def test_hot_co_access_recommends_denormalization(self, schema):
-        recommendation = recommend_options(
-            schema,
-            self.hot_profile(),
-            statistics=TableStatistics(default_rows=100_000),
-        )
-        assert "TOGETHER" in recommendation.best.label
-        by_label = {e.label: e for e in recommendation.ranking}
+        report = advise_for(schema, self.HOT)
+        assert "TOGETHER" in report.winner.label
+        by_label = {o.label: o.score for o in report.ranked}
         assert (
-            recommendation.best.weighted_cost
-            < by_label["default (SEPARATE)"].weighted_cost
+            report.winner.score.entity_fetch_pages
+            < by_label["DEFAULT SEPARATE"].entity_fetch_pages
         )
         assert (
-            by_label["NULL NOT ALLOWED"].weighted_cost
-            > by_label["default (SEPARATE)"].weighted_cost
+            by_label["NOT_ALLOWED SEPARATE"].entity_fetch_pages
+            > by_label["DEFAULT SEPARATE"].entity_fetch_pages
         )
 
     def test_cold_workload_keeps_default(self, schema):
-        recommendation = recommend_options(
-            schema,
-            QueryProfile(
-                (QueryPattern("Paper", ("Paper_has_Title",), frequency=1.0),)
-            ),
+        report = advise_for(
+            schema, QueryPattern("Paper", ("Paper_has_Title",), frequency=1.0)
         )
-        assert recommendation.best.label == "default (SEPARATE)"
+        assert report.winner.label == "DEFAULT SEPARATE"
 
     def test_render_lists_all_candidates(self, schema):
-        recommendation = recommend_options(schema, self.hot_profile())
-        rendered = recommendation.render()
-        assert "<= recommended" in rendered
-        assert "default (SEPARATE)" in rendered
-
-    def test_profile_requires_patterns(self):
-        with pytest.raises(ValueError):
-            QueryProfile(())
+        report = advise_for(schema, self.HOT)
+        rendered = report.render()
+        for outcome in report.ranked:
+            assert outcome.label in rendered
+        assert "winner: DEFAULT TOGETHER" in rendered
 
     def test_recommended_options_actually_map(self, schema):
-        recommendation = recommend_options(schema, self.hot_profile())
-        result = map_schema(schema, recommendation.best.options)
+        report = advise_for(schema, self.HOT)
+        result = map_schema(schema, report.winner_options)
         assert result.relational.relations
