@@ -24,3 +24,18 @@ def test_example_runs(path, monkeypatch):
     output = captured.getvalue()
     assert output.strip(), f"{path.name} printed nothing"
     assert "Traceback" not in output
+
+
+def test_workload_advisor_verdicts(monkeypatch):
+    """The co-access workload gets a TOGETHER design; the tracker
+    keeps the default SEPARATE one."""
+    captured = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", captured)
+    path = next(p for p in EXAMPLES if p.stem == "workload_advisor")
+    runpy.run_path(str(path), run_name="__main__")
+    winners = [
+        line.removeprefix("winner: ")
+        for line in captured.getvalue().splitlines()
+        if line.startswith("winner: ")
+    ]
+    assert winners == ["DEFAULT TOGETHER", "DEFAULT SEPARATE"]
