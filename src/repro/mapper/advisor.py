@@ -354,7 +354,10 @@ def _pattern_fetch_pages(
         try:
             compiled = compiler.compile(query)
         except MappingError as exc:
-            raise MappingError(f"pattern {pattern.describe()}: {exc}") from exc
+            raise MappingError(
+                f"pattern {pattern.object_type}({', '.join(pattern.facts)}): "
+                f"{exc}"
+            ) from exc
         total += pattern.frequency * sum(
             lookup_pages(name) for name in compiled.relations_touched
         )

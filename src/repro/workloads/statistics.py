@@ -34,10 +34,6 @@ class QueryPattern:
     facts: tuple[str, ...]
     frequency: float = 1.0
 
-    def describe(self) -> str:
-        """A short label for reports and error messages."""
-        return f"{self.object_type}({', '.join(self.facts)})"
-
 
 @dataclass(frozen=True)
 class WorkloadProfile:
